@@ -19,6 +19,7 @@
 #include "common/logging.hh"
 #include "common/table.hh"
 #include "runner/batch_runner.hh"
+#include "runner/campaign_flags.hh"
 #include "sim/metrics.hh"
 #include "workloads/params.hh"
 #include "workloads/source.hh"
@@ -32,33 +33,16 @@ struct BenchArgs
     std::string benchmark;  ///< empty = all benchmarks
     bool csv = false;
     /**
-     * Worker threads for the sweep: 0 (default) = one per hardware
-     * thread, 1 = the serial reference path, N = a fixed pool. The
-     * engine is deterministic and every job independent, so results
-     * are bit-identical at any value (tests/test_batch_runner.cc).
+     * Campaign flags (runner/campaign_flags.hh): --jobs worker
+     * threads (0, the default, = one per hardware thread; 1 = the
+     * serial reference path; results are bit-identical at any
+     * value, tests/test_batch_runner.cc), the per-job watchdog and
+     * retries (docs/robustness.md), the job-index shard, the result
+     * cache and verify-hits (docs/campaigns.md). All but --jobs are
+     * off by default — and they MUST stay off for committed perf
+     * baselines (bench/check_perf.py).
      */
-    unsigned jobs = 0;
-    /**
-     * Fault tolerance for long sweeps (docs/robustness.md): per-job
-     * wall-clock watchdog, transient-failure retries, and a crash-
-     * resumable journal. All off by default — and they MUST stay off
-     * for committed perf baselines (bench/check_perf.py).
-     */
-    uint64_t timeoutMs = 0;
-    unsigned retries = 0;
-    std::string journal;
-    /**
-     * Campaign scale-out (docs/campaigns.md): a stable job-index
-     * shard of the sweep (`--shard=K/N`), a content-addressed result
-     * cache directory shared between runs and shards
-     * (`--cache-dir=`), and the fraction of cache hits to
-     * re-simulate and compare bit-for-bit (`--verify-hits=`). All
-     * off by default — and the cache MUST stay off for committed
-     * perf baselines (bench/check_perf.py).
-     */
-    runner::ShardSpec shard;
-    std::string cacheDir;
-    double verifyHits = 0.0;
+    runner::BatchConfig campaign;
 
     static BenchArgs
     parse(int argc, char **argv)
@@ -66,8 +50,8 @@ struct BenchArgs
         BenchArgs args;
         if (const char *env = std::getenv("DARCO_BUDGET"))
             args.budget = std::strtoull(env, nullptr, 10);
-        for (int i = 1; i < argc; ++i) {
-            const std::string arg = argv[i];
+        for (const std::string &arg :
+             runner::parseCampaignFlags(argc, argv, args.campaign)) {
             auto value = [&](const char *prefix) -> const char * {
                 const size_t len = std::strlen(prefix);
                 if (arg.rfind(prefix, 0) == 0)
@@ -80,55 +64,20 @@ struct BenchArgs
                 args.suite = v2;
             else if (const char *v3 = value("--benchmark="))
                 args.benchmark = v3;
-            else if (const char *v4 = value("--jobs="))
-                args.jobs = static_cast<unsigned>(
-                    std::strtoul(v4, nullptr, 10));
-            else if (const char *v5 = value("--timeout="))
-                args.timeoutMs = std::strtoull(v5, nullptr, 10);
-            else if (const char *v6 = value("--retries="))
-                args.retries = static_cast<unsigned>(
-                    std::strtoul(v6, nullptr, 10));
-            else if (const char *v7 = value("--journal="))
-                args.journal = v7;
-            else if (const char *v8 = value("--shard=")) {
-                char *end = nullptr;
-                args.shard.index = static_cast<unsigned>(
-                    std::strtoul(v8, &end, 10));
-                fatal_if(!end || *end != '/',
-                         "--shard expects K/N (e.g. --shard=0/3)");
-                args.shard.count = static_cast<unsigned>(
-                    std::strtoul(end + 1, nullptr, 10));
-                fatal_if(args.shard.count == 0 ||
-                             args.shard.index >= args.shard.count,
-                         "--shard=%s: index must be < count", v8);
-            }
-            else if (const char *v9 = value("--cache-dir="))
-                args.cacheDir = v9;
-            else if (const char *v10 = value("--verify-hits="))
-                args.verifyHits = std::strtod(v10, nullptr);
             else if (arg == "--csv")
                 args.csv = true;
             else if (arg == "--help" || arg == "-h") {
                 std::printf(
                     "options: --budget=N --suite=NAME --benchmark=NAME "
-                    "--jobs=N --csv\n         --timeout=MS --retries=N "
-                    "--journal=PATH\n  suites: 'SPEC INT', 'SPEC FP', "
+                    "--csv\n  suites: 'SPEC INT', 'SPEC FP', "
                     "'Physics', 'Media'\n  benchmark: a synthetic name "
                     "or a workload URI\n    (source://synthetic/<name>, "
-                    "source://trace/<file>)\n  jobs: sweep worker "
-                    "threads (0 = hardware threads, 1 = serial\n    "
-                    "reference; results are bit-identical either way)\n"
-                    "  timeout/retries/journal: per-job watchdog, "
-                    "transient-failure\n    retries, crash-resumable "
-                    "journal (batch path only; keep off\n    for "
-                    "committed perf baselines)\n"
-                    "  --shard=K/N --cache-dir=DIR --verify-hits=F: "
-                    "campaign scale-out\n    (stable job-index shard, "
-                    "content-addressed result cache,\n    fraction of "
-                    "hits re-simulated and compared bit-for-bit;\n    "
-                    "docs/campaigns.md — keep the cache off for perf "
-                    "baselines)\n"
-                    "  env: DARCO_BUDGET\n");
+                    "source://trace/<file>)\n"
+                    "  env: DARCO_BUDGET\n"
+                    "campaign options (all but --jobs route the sweep "
+                    "through the batch\nrunner; keep them off for "
+                    "committed perf baselines):\n");
+                std::fputs(runner::kCampaignFlagsHelp, stdout);
                 std::exit(0);
             } else {
                 fatal("unknown argument: %s", arg.c_str());
@@ -200,7 +149,7 @@ selectWorkloads(const BenchArgs &args)
 /**
  * Run the selected workloads and append the four suite averages.
  *
- * `args.jobs` picks the execution path: 1 runs the serial reference
+ * `--jobs` picks the execution path: 1 runs the serial reference
  * loop on the calling thread; any other value routes the sweep
  * through runner::BatchRunner on a worker pool (0 = one worker per
  * hardware thread). Every job is an independent deterministic
@@ -208,11 +157,11 @@ selectWorkloads(const BenchArgs &args)
  * and pool sizes — only wall clock changes
  * (tests/test_batch_runner.cc enforces this).
  *
- * `--shard=K/N` and `--cache-dir=` route through the batch path even
- * at --jobs=1 (sharding and the result cache are BatchRunner
- * features). A sharded sweep returns only this shard's metrics;
- * suite averages appear only when the shard happens to cover a whole
- * suite.
+ * The other campaign flags (watchdog, retries, shard, result cache)
+ * are BatchRunner features, so any of them routes the sweep through
+ * the batch path even at --jobs=1. A sharded sweep returns only this
+ * shard's metrics; suite averages appear only when the shard happens
+ * to cover a whole suite.
  */
 inline std::vector<sim::BenchMetrics>
 runSweep(const BenchArgs &args, sim::MetricsOptions options,
@@ -220,11 +169,8 @@ runSweep(const BenchArgs &args, sim::MetricsOptions options,
 {
     applyBudget(options, args.budget);
     std::vector<sim::BenchMetrics> all;
-    // Sharding and the result cache live in the batch path; either
-    // one routes the sweep through BatchRunner even at --jobs=1.
-    const bool campaign =
-        args.shard.count > 1 || !args.cacheDir.empty();
-    if (args.jobs == 1 && !campaign) {
+    if (args.campaign.workers == 1 &&
+        !runner::needsBatchRunner(args.campaign)) {
         // Serial reference path: unchanged semantics, no threads.
         for (const workloads::Workload &w : selectWorkloads(args)) {
             if (progress) {
@@ -251,19 +197,11 @@ runSweep(const BenchArgs &args, sim::MetricsOptions options,
             job.checkCapturedPins = false;
             jobs.push_back(std::move(job));
         }
-        runner::BatchConfig config;
-        config.workers = args.jobs;
-        config.timeoutMs = args.timeoutMs;
-        config.retries = args.retries;
-        config.journalPath = args.journal;
-        config.shard = args.shard;
-        config.cacheDir = args.cacheDir;
-        config.verifyHitFraction = args.verifyHits;
+        runner::BatchConfig config = args.campaign;
         if (progress) {
             config.onJobDone = [](size_t, const runner::JobResult &r) {
                 const char *via =
-                    r.fromJournal ? "(from journal) "
-                    : r.cacheStatus == runner::CacheStatus::Hit
+                    r.cacheStatus == runner::CacheStatus::Hit
                         ? "(cache hit) "
                     : r.deduped ? "(deduped) "
                                 : "";

@@ -149,8 +149,8 @@ UPDATE_HINT = (
     "build/BENCH_engine.json BENCH_engine.json\n"
     "and commit the refreshed BENCH_engine.json.\n"
     "Baseline runs must execute with every fault-tolerance knob off\n"
-    "(no --timeout/--retries/--journal, no cancel token wired): a\n"
-    "watchdog-cancelled or journal-replayed run measures a different\n"
+    "(no --timeout/--retries/--cache-dir, no cancel token wired): a\n"
+    "watchdog-cancelled run or a cache hit measures a different\n"
     "experiment, and retry backoff pollutes the wall-clock numbers\n"
     "(docs/robustness.md).")
 

@@ -242,12 +242,12 @@ main(int argc, char **argv)
     // quantities, not host timings). check_perf.py enforces the
     // matching "execution": "serial" field on every committed
     // scenario.
-    fatal_if(args.jobs > 1,
+    fatal_if(args.campaign.workers > 1,
              "engine_speed is intentionally serial (--jobs=%u "
              "rejected): its samples are host timings, and sharing "
              "the process with concurrent jobs would corrupt the "
              "committed perf trajectory",
-             args.jobs);
+             args.campaign.workers);
 
     bench::ThroughputReporter reporter("engine_speed");
 

@@ -26,6 +26,7 @@
 
 #include "host/disasm.hh"
 #include "runner/batch_runner.hh"
+#include "runner/campaign_flags.hh"
 #include "sim/metrics.hh"
 #include "sim/system.hh"
 #include "workloads/source.hh"
@@ -48,26 +49,6 @@ usage()
         "options:\n"
         "  --budget=N        guest instructions (default 2000000)\n"
         "  --sb-threshold=N  BB->SB threshold (default: budget-scaled)\n"
-        "  --jobs=N          worker threads for multiple workloads\n"
-        "                    (0 = hardware threads, 1 = serial;\n"
-        "                    results are identical either way)\n"
-        "  --timeout=MS      per-workload wall-clock watchdog: a run\n"
-        "                    past the deadline is cancelled and fails\n"
-        "                    as Timeout with partial metrics\n"
-        "  --retries=N       re-run transiently failed workloads up\n"
-        "                    to N times (bounded exponential backoff)\n"
-        "  --journal=PATH    crash-resumable campaign journal: rerun\n"
-        "                    the same command after a crash and\n"
-        "                    completed workloads replay from PATH\n"
-        "  --cache-dir=DIR   content-addressed result cache: completed\n"
-        "                    (workload, config) runs are stored and a\n"
-        "                    warm re-run simulates nothing\n"
-        "                    (docs/campaigns.md)\n"
-        "  --shard=K/N       execute only workloads at index i with\n"
-        "                    i %% N == K — N runners sharing a cache\n"
-        "                    dir cover the campaign exactly once\n"
-        "  --verify-hits=F   re-simulate fraction F of cache hits and\n"
-        "                    fail unless bit-identical to the cache\n"
         "  --require-hits    fail unless every executed workload was\n"
         "                    a cache hit (warm-rerun assertion)\n"
         "  --capture=PATH    snapshot the run to a replayable trace\n"
@@ -77,10 +58,13 @@ usage()
         "  --no-burst        disable the event core's burst dispatcher\n"
         "  --isolation       also run TOL-only/APP-only instances\n"
         "  --dump-hottest    disassemble the most-executed region\n"
-        "with several workloads (or --timeout/--retries/--journal,\n"
-        "which run through the same batch machinery), --capture/\n"
-        "--cosim/--isolation/--dump-hottest are single-run features\n"
-        "and are rejected\n");
+        "campaign options (any of them but --jobs routes even one\n"
+        "workload through the batch runner):\n");
+    std::fputs(runner::kCampaignFlagsHelp, stdout);
+    std::printf(
+        "in batch mode (several workloads, or any campaign option\n"
+        "but --jobs), --capture/--cosim/--isolation/--dump-hottest\n"
+        "are single-run features and are rejected\n");
 }
 
 } // namespace
@@ -94,17 +78,11 @@ main(int argc, char **argv)
     bool dump_hottest = false;
     bool threshold_set = false;
     bool budget_set = false;
-    unsigned jobs = 0;
-    uint64_t timeout_ms = 0;
-    unsigned retries = 0;
-    std::string journal_path;
-    std::string cache_dir;
-    runner::ShardSpec shard;
-    double verify_hits = 0.0;
+    runner::BatchConfig config;
     bool require_hits = false;
 
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
+    for (const std::string &arg :
+         runner::parseCampaignFlags(argc, argv, config)) {
         if (arg == "--list") {
             for (const std::string &uri : workloads::listWorkloadUris())
                 std::printf("%s\n", uri.c_str());
@@ -112,37 +90,6 @@ main(int argc, char **argv)
         } else if (arg.rfind("--budget=", 0) == 0) {
             cfg.guestBudget = std::strtoull(arg.c_str() + 9, nullptr, 10);
             budget_set = true;
-        } else if (arg.rfind("--jobs=", 0) == 0) {
-            jobs = static_cast<unsigned>(
-                std::strtoul(arg.c_str() + 7, nullptr, 10));
-        } else if (arg.rfind("--timeout=", 0) == 0) {
-            timeout_ms = std::strtoull(arg.c_str() + 10, nullptr, 10);
-        } else if (arg.rfind("--retries=", 0) == 0) {
-            retries = static_cast<unsigned>(
-                std::strtoul(arg.c_str() + 10, nullptr, 10));
-        } else if (arg.rfind("--journal=", 0) == 0) {
-            journal_path = arg.substr(10);
-        } else if (arg.rfind("--cache-dir=", 0) == 0) {
-            cache_dir = arg.substr(12);
-        } else if (arg.rfind("--shard=", 0) == 0) {
-            char *end = nullptr;
-            shard.index = static_cast<unsigned>(
-                std::strtoul(arg.c_str() + 8, &end, 10));
-            if (!end || *end != '/') {
-                std::fprintf(stderr,
-                             "--shard expects K/N (e.g. --shard=0/3)\n");
-                return 1;
-            }
-            shard.count = static_cast<unsigned>(
-                std::strtoul(end + 1, nullptr, 10));
-            if (shard.count == 0 || shard.index >= shard.count) {
-                std::fprintf(stderr,
-                             "--shard=%s: index must be < count\n",
-                             arg.c_str() + 8);
-                return 1;
-            }
-        } else if (arg.rfind("--verify-hits=", 0) == 0) {
-            verify_hits = std::strtod(arg.c_str() + 14, nullptr);
         } else if (arg == "--require-hits") {
             require_hits = true;
         } else if (arg.rfind("--capture=", 0) == 0) {
@@ -202,20 +149,14 @@ main(int argc, char **argv)
         }
     }
 
-    // Fault-tolerant execution (watchdog, retry, journal) and the
-    // campaign scale-out features (result cache, sharding) live in
-    // the BatchRunner, so those flags route even a single workload
-    // through the batch path (summary line instead of the detailed
-    // report).
-    const bool fault_tolerant =
-        timeout_ms > 0 || retries > 0 || !journal_path.empty();
-    const bool campaign = !cache_dir.empty() || shard.count > 1;
-    if (require_hits && cache_dir.empty()) {
+    if (require_hits && config.cacheDir.empty()) {
         std::fprintf(stderr,
                      "--require-hits needs --cache-dir=\n");
         return 1;
     }
-    if (names.size() > 1 || fault_tolerant || campaign) {
+    // Batch-runner features route even a single workload through
+    // the batch path (summary line instead of the detailed report).
+    if (names.size() > 1 || runner::needsBatchRunner(config)) {
         // Batch mode: independent Systems on a worker pool, one
         // summary line per workload in request order. The detailed
         // single-run reports (capture confirmation, cosim verdict,
@@ -255,14 +196,6 @@ main(int argc, char **argv)
             }
             batch.push_back(std::move(job));
         }
-        runner::BatchConfig config;
-        config.workers = jobs;
-        config.timeoutMs = timeout_ms;
-        config.retries = retries;
-        config.journalPath = journal_path;
-        config.cacheDir = cache_dir;
-        config.shard = shard;
-        config.verifyHitFraction = verify_hits;
         const runner::BatchRunner pool(config);
         std::fprintf(stderr, "running %zu workloads on %u workers\n",
                      batch.size(),
@@ -296,8 +229,6 @@ main(int argc, char **argv)
               case runner::CacheStatus::None:
                 if (r.deduped)
                     cache_col = "dedup";
-                else if (r.fromJournal)
-                    cache_col = "journal";
                 break;
             }
             if (!r.ok) {
@@ -329,7 +260,7 @@ main(int argc, char **argv)
                         r.snapshot.result.halted ? "yes" : "no",
                         cache_col);
         }
-        if (!cache_dir.empty()) {
+        if (!config.cacheDir.empty()) {
             const size_t looked_up = hits + misses;
             std::printf("cache: %zu hit%s, %zu miss%s, %zu bypass "
                         "(hit rate %.1f%%)\n",

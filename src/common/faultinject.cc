@@ -32,7 +32,7 @@ const char *const kNames[kNumPoints] = {
     "trace-corrupt",
     "midrun-throw",
     "guest-stall",
-    "journal-kill",
+    "cache-store-kill",
 };
 
 } // namespace

@@ -67,54 +67,71 @@ struct ExecContext
     uint64_t timeoutMs = 0;
 };
 
-/**
- * A job's resolved identity and effective configuration — the part
- * of execution that defines the experiment without running it.
- * Shared by the execute path, journal replay, cache lookup and the
- * dedup pre-pass so all four agree on what "the same job" means.
- */
-struct PreparedJob
+/** A job's effective configuration and the fingerprint naming it. */
+struct Effective
 {
-    workloads::Workload workload;
     sim::MetricsOptions options;
     uint64_t fingerprint = 0;
 };
 
 /**
- * Resolve the workload and build the effective options: recipe, then
- * explicit per-job overrides, mirroring run_benchmark's
- * single-workload semantics (the recipe supplies defaults, the
- * command line wins). May fatal-throw (unknown scheme, unreadable
- * trace) — callers hold a ScopedFatalThrow.
+ * The one derivation of a job's effective options over its resolved
+ * workload: recipe, then explicit per-job overrides, mirroring
+ * run_benchmark's single-workload semantics (the recipe supplies
+ * defaults, the command line wins), then the config fingerprint.
+ * The execute path, the cache lookup and the dedup pre-pass all call
+ * this, so they cannot disagree on what "the same job" means.
+ */
+Effective
+effectiveConfig(const BatchJob &job, const workloads::Workload &workload)
+{
+    Effective e;
+    e.options = job.options;
+    sim::applyCaptureRecipe(e.options, workload);
+    if (job.guestBudgetOverride)
+        e.options.guestBudget = *job.guestBudgetOverride;
+    if (job.sbThresholdOverride)
+        e.options.tolConfig.bbToSbThreshold = *job.sbThresholdOverride;
+    e.fingerprint = configFingerprint(e.options, job.workload,
+                                      job.requireHalt);
+    return e;
+}
+
+/**
+ * A job's resolved identity and effective configuration — the part
+ * of execution that defines the experiment without running it.
+ */
+struct PreparedJob
+{
+    workloads::Workload workload;
+    Effective effective;
+};
+
+/**
+ * Resolve the workload and derive the effective configuration. May
+ * fatal-throw (unknown scheme, unreadable trace) — callers hold a
+ * ScopedFatalThrow.
  */
 PreparedJob
 prepareJob(const BatchJob &job)
 {
     PreparedJob p;
     p.workload = workloads::resolveWorkload(job.workload);
-    p.options = job.options;
-    sim::applyCaptureRecipe(p.options, p.workload);
-    if (job.guestBudgetOverride)
-        p.options.guestBudget = *job.guestBudgetOverride;
-    if (job.sbThresholdOverride)
-        p.options.tolConfig.bbToSbThreshold = *job.sbThresholdOverride;
-    p.fingerprint = configFingerprint(p.options, job.workload,
-                                      job.requireHalt);
+    p.effective = effectiveConfig(job, p.workload);
     return p;
 }
 
 /**
- * Capture and isolation-pipe jobs never touch the result cache: a
- * capture job's product is the trace file (which the cache does not
- * carry), and isolation runs are diagnostic sweeps whose extra
- * pipelines make them poor candidates for cross-campaign reuse.
+ * Capture jobs never touch the result cache: their product is the
+ * trace file, which the cache does not carry, so they always run and
+ * rewrite it. Isolation-pipe jobs are cached like any other — the
+ * snapshot carries all three optional PipeStats and the fingerprint
+ * hashes all three pipe flags.
  */
 bool
 cacheBypass(const BatchJob &job)
 {
-    return !job.options.captureTracePath.empty() ||
-           job.options.tolOnlyPipe || job.options.appOnlyPipe ||
-           job.options.tolModulePipe;
+    return !job.options.captureTracePath.empty();
 }
 
 /**
@@ -210,10 +227,11 @@ executeAttempt(const BatchJob &job, const ExecContext &ctx)
         r.uri = workload.uri;
         // Fingerprint before wiring the cancel token: the token is
         // runtime plumbing, not part of the experiment definition.
-        r.fingerprint = prep.fingerprint;
+        r.fingerprint = prep.effective.fingerprint;
         if (ctx.timeoutMs)
-            prep.options.cancel = &token;
-        const sim::SimConfig cfg = sim::configFromOptions(prep.options);
+            prep.effective.options.cancel = &token;
+        const sim::SimConfig cfg =
+            sim::configFromOptions(prep.effective.options);
 
         WatchdogArm deadline(ctx.watchdog, &token, ctx.timeoutMs);
         sim::System sys(cfg);
@@ -305,61 +323,6 @@ executeJob(const BatchJob &job, const ExecContext &ctx,
 }
 
 /**
- * Try to satisfy @p job from a journal @p entry: same workload
- * string (checked by the caller), same effective config fingerprint,
- * pins re-verified against the *current* workload resolution — a
- * trace file that changed since the campaign started must not be
- * papered over by the journal. Any mismatch re-runs the job; any
- * resolution failure re-runs it too, so the failure is reported with
- * its proper classification by the normal path.
- */
-std::optional<JobResult>
-tryReplay(const BatchJob &job, size_t index, const JournalEntry &entry)
-{
-    ScopedFatalThrow fatal_throws;
-    try {
-        const PreparedJob prep = prepareJob(job);
-        if (prep.fingerprint != entry.fingerprint) {
-            warn("journal: job %zu (%s): config fingerprint changed; "
-                 "re-running",
-                 index, job.workload.c_str());
-            return std::nullopt;
-        }
-
-        JobResult r;
-        r.name = prep.workload.name;
-        r.suite = prep.workload.suite;
-        r.uri = prep.workload.uri;
-        r.snapshot = entry.snapshot;
-        r.fingerprint = prep.fingerprint;
-        r.fromJournal = true;
-        r.attempts = 0;
-
-        std::string pin_error;
-        if (job.checkCapturedPins && prep.workload.capturedPins) {
-            diffPins("capture", *prep.workload.capturedPins, r,
-                     pin_error);
-        }
-        if (job.expectedPins)
-            diffPins("expected", *job.expectedPins, r, pin_error);
-        if (!pin_error.empty()) {
-            warn("journal: job %zu (%s): journaled result no longer "
-                 "matches pins; re-running:\n%s",
-                 index, job.workload.c_str(), pin_error.c_str());
-            return std::nullopt;
-        }
-
-        r.metrics = sim::collectMetrics(r.snapshot,
-                                        prep.workload.name,
-                                        prep.workload.suite);
-        r.ok = true;
-        return r;
-    } catch (const std::exception &) {
-        return std::nullopt;
-    }
-}
-
-/**
  * Try to satisfy @p job from the result cache. A valid, pin-clean
  * hit returns a complete result without simulating; verify-hits mode
  * may additionally re-simulate and either bless the hit or fail the
@@ -373,7 +336,7 @@ tryCacheHit(const BatchJob &job, ResultCache &cache,
     ScopedFatalThrow fatal_throws;
     try {
         const PreparedJob prep = prepareJob(job);
-        const CacheKey key{prep.workload.uri, prep.fingerprint,
+        const CacheKey key{prep.workload.uri, prep.effective.fingerprint,
                            std::string(kJournalEngineVersion)};
         std::optional<sim::RunSnapshot> snap = cache.lookup(key);
         if (!snap)
@@ -384,13 +347,13 @@ tryCacheHit(const BatchJob &job, ResultCache &cache,
         r.suite = prep.workload.suite;
         r.uri = prep.workload.uri;
         r.snapshot = std::move(*snap);
-        r.fingerprint = prep.fingerprint;
+        r.fingerprint = prep.effective.fingerprint;
         r.cacheStatus = CacheStatus::Hit;
         r.attempts = 0;
 
-        // Pins re-verified against the current workload resolution,
-        // exactly like journal replay: a trace whose in-file pins
-        // changed invalidates the cached result.
+        // Pins re-verified against the current workload resolution:
+        // a trace whose in-file pins changed since the entry was
+        // stored invalidates the cached result.
         std::string pin_error;
         if (job.checkCapturedPins && prep.workload.capturedPins) {
             diffPins("capture", *prep.workload.capturedPins, r,
@@ -405,7 +368,7 @@ tryCacheHit(const BatchJob &job, ResultCache &cache,
             return std::nullopt;
         }
 
-        if (selectedForVerify(prep.fingerprint,
+        if (selectedForVerify(prep.effective.fingerprint,
                               cfg.verifyHitFraction)) {
             const JobResult fresh = executeJob(job, ctx, cfg);
             r.attempts = fresh.attempts;
@@ -556,70 +519,22 @@ BatchRunner::run(const std::vector<BatchJob> &jobs) const
     }
 
     std::vector<JobResult> results(jobs.size());
-    std::vector<char> replayed(jobs.size(), 0);
 
     // Stable job-index partition: slots outside this shard are marked
-    // and never executed, journaled, cached or reported.
+    // and never executed, cached or reported.
     for (size_t i = 0; i < jobs.size(); ++i) {
         if (i % cfg.shard.count != cfg.shard.index)
             results[i].skipped = true;
-    }
-
-    // Resume pass: satisfy jobs from an existing journal before any
-    // worker starts, then keep the journal open for appends.
-    std::unique_ptr<Journal> journal;
-    if (!cfg.journalPath.empty()) {
-        const JournalLoad load = loadJournal(cfg.journalPath);
-        if (load.skippedLines) {
-            warn("journal '%s': skipped %zu damaged line(s)",
-                 cfg.journalPath.c_str(), load.skippedLines);
-        }
-        if (!load.entries.empty() &&
-            load.engine != kJournalEngineVersion) {
-            warn("journal '%s': engine '%s' does not match '%s'; "
-                 "ignoring %zu completed job(s)",
-                 cfg.journalPath.c_str(), load.engine.c_str(),
-                 kJournalEngineVersion, load.entries.size());
-        } else {
-            std::unordered_map<uint64_t, const JournalEntry *> by_job;
-            for (const JournalEntry &e : load.entries)
-                by_job[e.jobIndex] = &e;  // last write wins
-            for (size_t i = 0; i < jobs.size(); ++i) {
-                if (results[i].skipped)
-                    continue;
-                // Capture jobs always re-run: their product is the
-                // capture file, which the journal does not carry.
-                if (!jobs[i].options.captureTracePath.empty())
-                    continue;
-                const auto it = by_job.find(i);
-                if (it == by_job.end() ||
-                    it->second->workload != jobs[i].workload) {
-                    continue;
-                }
-                if (std::optional<JobResult> r =
-                        tryReplay(jobs[i], i, *it->second)) {
-                    results[i] = std::move(*r);
-                    replayed[i] = 1;
-                }
-            }
-        }
-        journal = std::make_unique<Journal>(cfg.journalPath);
-        if (cfg.onJobDone) {
-            for (size_t i = 0; i < jobs.size(); ++i) {
-                if (replayed[i])
-                    cfg.onJobDone(i, results[i]);
-            }
-        }
     }
 
     std::unique_ptr<ResultCache> cache;
     if (!cfg.cacheDir.empty())
         cache = std::make_unique<ResultCache>(cfg.cacheDir);
 
-    // Dedup pre-pass: group the still-pending jobs of this shard by
-    // effective config fingerprint. Only workload strings appearing
-    // more than once can collide (the fingerprint folds the workload
-    // string in), so resolution — which may read a trace header — is
+    // Dedup pre-pass: group the jobs of this shard by effective
+    // config fingerprint. Only workload strings appearing more than
+    // once can collide (the fingerprint folds the workload string
+    // in), so resolution — which may read a trace header — is
     // paid only for duplicated workloads. A group whose resolution
     // fails is left ungrouped: the execute path reports the failure
     // per job with its proper classification.
@@ -628,7 +543,7 @@ BatchRunner::run(const std::vector<BatchJob> &jobs) const
         std::unordered_map<std::string, std::vector<size_t>>
             by_workload;
         for (size_t i = 0; i < jobs.size(); ++i) {
-            if (results[i].skipped || replayed[i])
+            if (results[i].skipped)
                 continue;
             // Capture jobs are never deduped: each must actually run
             // to produce its capture file.
@@ -646,18 +561,7 @@ BatchRunner::run(const std::vector<BatchJob> &jobs) const
                 std::unordered_map<uint64_t, std::vector<size_t>>
                     by_fp;
                 for (const size_t i : members) {
-                    sim::MetricsOptions options = jobs[i].options;
-                    sim::applyCaptureRecipe(options, workload);
-                    if (jobs[i].guestBudgetOverride) {
-                        options.guestBudget =
-                            *jobs[i].guestBudgetOverride;
-                    }
-                    if (jobs[i].sbThresholdOverride) {
-                        options.tolConfig.bbToSbThreshold =
-                            *jobs[i].sbThresholdOverride;
-                    }
-                    by_fp[configFingerprint(options, wl,
-                                            jobs[i].requireHalt)]
+                    by_fp[effectiveConfig(jobs[i], workload).fingerprint]
                         .push_back(i);
                 }
                 for (auto &[fp, dup] : by_fp) {
@@ -682,8 +586,9 @@ BatchRunner::run(const std::vector<BatchJob> &jobs) const
     const ExecContext ctx{watchdog ? &*watchdog : nullptr,
                           cfg.timeoutMs};
 
-    // Cache-aware execution of one still-pending job on the calling
-    // thread: lookup-before-simulate, store-after-miss.
+    // Cache-aware execution of one job on the calling thread:
+    // lookup-before-simulate, store-after-miss. A store that fails
+    // only warns (runner/result_cache.hh, crash contract).
     auto run_one = [&](const BatchJob &job) -> JobResult {
         if (!cache)
             return executeJob(job, ctx, cfg);
@@ -717,7 +622,7 @@ BatchRunner::run(const std::vector<BatchJob> &jobs) const
                 cursor.fetch_add(1, std::memory_order_relaxed);
             if (index >= jobs.size())
                 return;
-            if (results[index].skipped || replayed[index])
+            if (results[index].skipped)
                 continue;
             const BatchJob &job = jobs[index];
             const std::shared_ptr<DedupGroup> &grp = group_of[index];
@@ -741,24 +646,10 @@ BatchRunner::run(const std::vector<BatchJob> &jobs) const
             if (grp && grp->leader == index)
                 grp->markDone();
 
-            const JobResult &res = results[index];
-            std::lock_guard<std::mutex> lock(done_mutex);
-            // Journal before reporting: once onJobDone has seen a
-            // job, a crash must not lose it.
-            if (journal && res.ok &&
-                job.options.captureTracePath.empty()) {
-                JournalEntry entry;
-                entry.jobIndex = index;
-                entry.workload = job.workload;
-                entry.fingerprint = res.fingerprint;
-                entry.name = res.name;
-                entry.suite = res.suite;
-                entry.uri = res.uri;
-                entry.snapshot = res.snapshot;
-                journal->append(entry);
+            if (cfg.onJobDone) {
+                std::lock_guard<std::mutex> lock(done_mutex);
+                cfg.onJobDone(index, results[index]);
             }
-            if (cfg.onJobDone)
-                cfg.onJobDone(index, res);
         }
     };
 

@@ -30,9 +30,9 @@
  *   - bounded-exponential-backoff re-runs of transiently failed jobs
  *     (retries/backoffBaseMs) — each attempt from scratch, so a
  *     retried success is bit-identical to a first-try success,
- *   - a crash-resumable campaign journal (journalPath): completed
- *     jobs are appended durably and skipped when the same campaign
- *     runs again over the same journal (runner/journal.hh).
+ *   - crash resume through the result cache: a campaign re-run with
+ *     the same cacheDir finds every job that finished before the
+ *     crash as a hit (runner/result_cache.hh, crash contract).
  *
  * Scale-out (docs/campaigns.md): on top of the fault tolerance the
  * runner offers
@@ -40,10 +40,11 @@
  *     each job is looked up by (workload URI, config fingerprint,
  *     engine version) and a valid entry satisfies the job without
  *     running it — a warm re-run of an identical campaign performs
- *     zero simulations. Capture and isolation-pipe jobs always
- *     bypass the cache. Opt-in verify-hits re-simulates a
- *     deterministic fraction of hits and hard-fails the job unless
- *     the cached snapshot is bit-identical to the fresh run,
+ *     zero simulations. Capture jobs always bypass the cache, so
+ *     their trace file is rewritten. Opt-in verify-hits
+ *     re-simulates a deterministic fraction of hits and hard-fails
+ *     the job unless the cached snapshot is bit-identical to the
+ *     fresh run,
  *   - deterministic sharding (shard): shard K of N executes exactly
  *     the jobs whose batch index i satisfies i % N == K, so N
  *     independent processes sharing a cache directory cover a
@@ -116,7 +117,7 @@ enum class CacheStatus : uint8_t
     Hit,
     /** Looked up, absent or invalid; simulated and stored. */
     Miss,
-    /** Capture/isolation job: never looked up, never stored. */
+    /** Capture job: never looked up, never stored. */
     Bypass,
 };
 
@@ -142,16 +143,15 @@ struct JobResult
     /** Derived figure metrics, identical to sim::runWorkload's. */
     sim::BenchMetrics metrics;
 
-    /** Execution attempts made (1 = no retry; 0 = journal replay). */
+    /** Execution attempts made (1 = no retry; 0 = served without
+     *  simulating: an unverified cache hit or a dedup fan-out). */
     unsigned attempts = 0;
     /** Total backoff slept before the final attempt. */
     uint64_t backoffMsApplied = 0;
     /** Wall-clock spent executing this job (all attempts; reporting
      *  only — never feeds any measured quantity). */
     uint64_t durationMs = 0;
-    /** Satisfied from the campaign journal without running. */
-    bool fromJournal = false;
-    /** journal::configFingerprint of the effective options (0 if the
+    /** runner::configFingerprint of the effective options (0 if the
      *  job failed before resolution). */
     uint64_t fingerprint = 0;
 
@@ -204,8 +204,7 @@ struct BatchConfig
      * Invoked after each job completes, serialized under an internal
      * mutex (safe to print from). Jobs COMPLETE in scheduling order,
      * which is nondeterministic for workers > 1 — only the returned
-     * slot order is deterministic. Journal-replayed jobs report
-     * before any worker starts.
+     * slot order is deterministic.
      */
     std::function<void(size_t index, const JobResult &result)> onJobDone;
 
@@ -224,26 +223,16 @@ struct BatchConfig
     unsigned retries = 0;
     /** First retry backoff; doubles per attempt (backoffDelayMs). */
     uint64_t backoffBaseMs = 100;
-    /**
-     * Campaign journal path; "" disables journaling. When set,
-     * completed jobs are appended durably, and jobs already present
-     * (matched on job index + workload + config fingerprint + engine
-     * version, pins re-verified) are replayed instead of re-run —
-     * with results bit-identical to an uninterrupted campaign.
-     * Trace-capturing jobs are exempt: they always re-run so the
-     * capture file is regenerated.
-     */
-    std::string journalPath;
-
     /** Shard of the batch this runner executes (default: all). */
     ShardSpec shard;
     /**
      * Result cache directory; "" disables the cache. When set,
-     * non-bypass jobs are looked up by (workload URI, config
+     * non-capture jobs are looked up by (workload URI, config
      * fingerprint, engine version) before simulating, and successful
      * simulations are published back via atomic rename
-     * (runner/result_cache.hh). Must be "" for perf-baseline runs
-     * (bench/check_perf.py).
+     * (runner/result_cache.hh). It is also the resume path: re-run
+     * a crashed campaign with the same directory. Must be "" for
+     * perf-baseline runs (bench/check_perf.py).
      */
     std::string cacheDir;
     /**

@@ -1,63 +1,9 @@
 #include "runner/journal.hh"
 
-#include <sys/stat.h>
-
-#include <cerrno>
-#include <cstring>
-#include <optional>
-
-#include "common/faultinject.hh"
 #include "common/logging.hh"
 #include "runner/snapshot_codec.hh"
 
-#include <csignal>
-
 namespace darco::runner {
-
-namespace {
-
-std::string
-serializeEntry(const JournalEntry &e)
-{
-    std::string body = strprintf(
-        "{\"job\":%llu,\"workload\":\"%s\",\"fp\":\"%016llx\","
-        "\"name\":\"%s\",\"suite\":\"%s\",\"uri\":\"%s\"",
-        static_cast<unsigned long long>(e.jobIndex),
-        codec::escape(e.workload).c_str(),
-        static_cast<unsigned long long>(e.fingerprint),
-        codec::escape(e.name).c_str(), codec::escape(e.suite).c_str(),
-        codec::escape(e.uri).c_str());
-    codec::appendSnapshotFields(body, e.snapshot);
-    return codec::sealLine(body);
-}
-
-std::optional<JournalEntry>
-parseEntry(const std::string &line)
-{
-    if (!codec::checksummedBody(line))
-        return std::nullopt;
-
-    JournalEntry e;
-    const auto job = codec::getU64(line, "job");
-    const auto workload = codec::getStr(line, "workload");
-    const auto fp = codec::getHex64(line, "fp");
-    const auto name = codec::getStr(line, "name");
-    const auto suite = codec::getStr(line, "suite");
-    const auto uri = codec::getStr(line, "uri");
-    if (!job || !workload || !fp || !name || !suite || !uri)
-        return std::nullopt;
-    e.jobIndex = *job;
-    e.workload = *workload;
-    e.fingerprint = *fp;
-    e.name = *name;
-    e.suite = *suite;
-    e.uri = *uri;
-    if (!codec::parseSnapshotFields(line, e.snapshot))
-        return std::nullopt;
-    return e;
-}
-
-} // namespace
 
 uint64_t
 configFingerprint(const sim::MetricsOptions &effective,
@@ -147,109 +93,6 @@ configFingerprint(const sim::MetricsOptions &effective,
     field("fpSimpleLatency", h.fpSimpleLatency);
     field("fpComplexLatency", h.fpComplexLatency);
     return codec::hashString(dump);
-}
-
-Journal::Journal(const std::string &path) : path(path)
-{
-    struct stat st{};
-    const bool fresh = ::stat(path.c_str(), &st) != 0 ||
-                       st.st_size == 0;
-    file = std::fopen(path.c_str(), "ab");
-    if (!file) {
-        fatal_kind(ErrKind::Io, "journal: cannot open '%s' for append",
-                   path.c_str());
-    }
-    if (fresh) {
-        if (std::fprintf(file,
-                         "{\"darco_journal\":1,\"engine\":\"%s\"}\n",
-                         kJournalEngineVersion) < 0 ||
-            std::fflush(file) != 0) {
-            fatal_kind(ErrKind::Io,
-                       "journal: cannot write header to '%s': %s",
-                       path.c_str(), std::strerror(errno));
-        }
-    }
-}
-
-Journal::~Journal()
-{
-    if (file)
-        std::fclose(file);
-}
-
-void
-Journal::append(const JournalEntry &entry)
-{
-    const std::string line = serializeEntry(entry);
-    // Flush before reporting the job done: after fflush the bytes
-    // are the kernel's problem and survive a SIGKILL of this
-    // process. (fsync would also survive a host crash; a campaign
-    // journal does not need that durability class.) Every result is
-    // checked: a short write or failed flush (ENOSPC, quota, pulled
-    // NFS mount) means the entry is NOT durable, and returning
-    // normally would let the runner report the job done on the
-    // strength of an entry that does not exist — the durability
-    // contract this class exists to provide. The failure classifies
-    // as Io like every other journal I/O error.
-    if (std::fwrite(line.data(), 1, line.size(), file) !=
-            line.size() ||
-        std::fputc('\n', file) == EOF || std::fflush(file) != 0) {
-        fatal_kind(ErrKind::Io,
-                   "journal: append to '%s' failed (%s) — entry for "
-                   "job %llu is not durable",
-                   path.c_str(), std::strerror(errno),
-                   static_cast<unsigned long long>(entry.jobIndex));
-    }
-    // Kill-after-Nth-append fault point (the kill-and-resume gate):
-    // fires `count` times, dies on the last one — i.e. after the Nth
-    // append has been made durable.
-    if (faultinject::fire(faultinject::Point::JournalKill) &&
-        !faultinject::pending(faultinject::Point::JournalKill)) {
-        std::raise(SIGKILL);
-    }
-}
-
-JournalLoad
-loadJournal(const std::string &path)
-{
-    JournalLoad load;
-    FILE *f = std::fopen(path.c_str(), "rb");
-    if (!f)
-        return load;
-    std::string data;
-    char buf[1 << 16];
-    size_t got;
-    while ((got = std::fread(buf, 1, sizeof(buf), f)) > 0)
-        data.append(buf, got);
-    std::fclose(f);
-
-    size_t pos = 0;
-    bool first = true;
-    while (pos < data.size()) {
-        // A file with no trailing newline ends in a torn line; it is
-        // parsed like any other and fails its checksum.
-        size_t end = data.find('\n', pos);
-        if (end == std::string::npos)
-            end = data.size();
-        const std::string line = data.substr(pos, end - pos);
-        pos = end + 1;
-        if (line.empty())
-            continue;
-        if (first) {
-            first = false;
-            if (line.find("\"darco_journal\":") != std::string::npos) {
-                if (const auto engine = codec::getStr(line, "engine"))
-                    load.engine = *engine;
-                continue;
-            }
-            // No header: fall through and try it as an entry.
-        }
-        if (std::optional<JournalEntry> e = parseEntry(line))
-            load.entries.push_back(std::move(*e));
-        else
-            ++load.skippedLines;
-    }
-    return load;
 }
 
 } // namespace darco::runner

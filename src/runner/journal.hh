@@ -1,121 +1,50 @@
 /**
  * @file
- * Crash-resumable campaign journal (docs/robustness.md §4).
+ * Experiment identity: the config fingerprint and the engine version
+ * that together say whether two runs are the same experiment.
  *
- * A campaign that sweeps hundreds of (workload, config) cells can
- * die halfway — OOM kill, machine reboot, ctrl-C. The journal makes
- * the completed work durable: BatchRunner appends one checksummed
- * JSONL record per *successful* job, flushed before the next job's
- * result can land, and a resumed campaign replays those records
- * instead of re-running the jobs. Because every figure metric is a
- * pure function of the RunSnapshot (sim::collectMetrics), a replayed
- * job is bit-identical to the run that produced it — enforced by the
- * kill-and-resume gate in tests/test_fault_tolerance.cc.
+ * The result cache (runner/result_cache.hh) keys every entry on
+ * these two names plus the resolved workload URI, and the batch
+ * runner's intra-batch dedup groups jobs by the fingerprint. A
+ * changed threshold, cache geometry or pipeline flag changes the
+ * fingerprint; a changed engine changes the version; either makes
+ * an old result unusable.
  *
- * A journal entry is only trusted for a job that asks for exactly
- * the same experiment: entries are keyed on (job index, workload
- * string, config fingerprint, engine version). The fingerprint
- * hashes a canonical dump of every effective MetricsOptions field
- * that feeds the simulation (post capture-recipe, post per-job
- * overrides) — runtime wiring like the cancel token is excluded, a
- * changed threshold or cache geometry changes the key. Jobs with
- * side effects beyond their metrics (trace capture) are never
- * journaled: a resume must regenerate the capture file.
- *
- * The format tolerates exactly the damage a SIGKILL can cause: a
- * torn final line (no trailing newline, truncated mid-record) is
- * skipped, as is any line whose FNV-1a checksum does not match its
- * body. Anything else present but unparseable is skipped and
- * counted, never fatal — a damaged journal costs re-runs, not the
- * campaign.
+ * The header keeps the path of the campaign journal it once also
+ * declared, because the campaign benchmark (perfbench/) includes it
+ * by that path. The journal itself is gone: a crashed campaign
+ * resumes by re-running the same command with the same --cache-dir
+ * (docs/robustness.md §4).
  */
 
 #ifndef DARCO_RUNNER_JOURNAL_HH
 #define DARCO_RUNNER_JOURNAL_HH
 
-#include <cstdio>
+#include <cstdint>
 #include <string>
-#include <vector>
 
 #include "sim/metrics.hh"
 
 namespace darco::runner {
 
 /**
- * Engine version pin: journal entries from a different engine
- * version are ignored on resume. Bump whenever a change could alter
- * any measured quantity (same discipline as the perf baselines).
+ * Engine version pin: cache entries from a different engine version
+ * are ignored. Bump whenever a change could alter any measured
+ * quantity (same discipline as the perf baselines).
  */
 constexpr const char *kJournalEngineVersion = "darco-engine-4";
-
-/** One completed job, as recorded in / loaded from a journal. */
-struct JournalEntry
-{
-    uint64_t jobIndex = 0;
-    /** The BatchJob workload string, exactly as submitted. */
-    std::string workload;
-    /** configFingerprint() of the job's effective options. */
-    uint64_t fingerprint = 0;
-
-    std::string name;
-    std::string suite;
-    std::string uri;
-    sim::RunSnapshot snapshot;
-};
 
 /**
  * Hash the effective experiment definition: every MetricsOptions
  * field that influences the simulation (tolConfig, timingConfig,
  * guest budget, pipeline instance flags) plus the workload string
- * and the harness's halt requirement. Canonical field-by-field text
- * dump under the hood — never raw struct bytes, whose padding is
- * indeterminate.
+ * and the harness's halt requirement. Runtime wiring like the cancel
+ * token is excluded. Canonical field-by-field text dump under the
+ * hood — never raw struct bytes, whose padding is indeterminate.
  */
 uint64_t configFingerprint(const sim::MetricsOptions &effective,
                            const std::string &workload,
                            bool requireHalt);
-
-/** Append-side handle; one per campaign, writes serialized by the
- *  caller (BatchRunner appends under its completion mutex). */
-class Journal
-{
-  public:
-    /** Open @p path for append, writing the header line first when
-     *  the file is new or empty. fatal() (ErrKind::Io) on failure. */
-    explicit Journal(const std::string &path);
-    ~Journal();
-
-    Journal(const Journal &) = delete;
-    Journal &operator=(const Journal &) = delete;
-
-    /**
-     * Append one completed job and flush it to the OS. After this
-     * returns, the entry survives a SIGKILL of this process (kernel
-     * buffers outlive the process; only a host crash can lose it).
-     */
-    void append(const JournalEntry &entry);
-
-  private:
-    FILE *file = nullptr;
-    std::string path;
-};
-
-/** Everything salvaged from an existing journal file. */
-struct JournalLoad
-{
-    std::vector<JournalEntry> entries;
-    /** Engine version string from the header ("" = no header). */
-    std::string engine;
-    /** Torn/corrupt/unparseable lines skipped (not an error). */
-    size_t skippedLines = 0;
-};
-
-/**
- * Load every intact entry from @p path. A missing file is an empty
- * load (resuming a campaign that never started is a no-op), damaged
- * lines are counted in skippedLines.
- */
-JournalLoad loadJournal(const std::string &path);
 
 } // namespace darco::runner
 

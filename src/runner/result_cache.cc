@@ -4,9 +4,11 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <csignal>
 #include <cstdio>
 #include <cstring>
 
+#include "common/faultinject.hh"
 #include "common/logging.hh"
 #include "runner/snapshot_codec.hh"
 
@@ -136,15 +138,25 @@ ResultCache::store(const CacheKey &key, const sim::RunSnapshot &snap)
              std::strerror(errno));
         return false;
     }
+    // fclose flushes and is checked: a write error the stdio buffer
+    // deferred (EFBIG, ENOSPC, EIO on a network mount) surfaces only
+    // there, and a file that did not close cleanly is never published.
     const bool wrote =
-        std::fwrite(line.data(), 1, line.size(), f) == line.size() &&
-        std::fflush(f) == 0;
-    std::fclose(f);
-    if (!wrote || std::rename(tmp.c_str(), path.c_str()) != 0) {
+        std::fwrite(line.data(), 1, line.size(), f) == line.size();
+    const bool closed = std::fclose(f) == 0;
+    if (!wrote || !closed ||
+        std::rename(tmp.c_str(), path.c_str()) != 0) {
         warn("result cache: failed to publish '%s': %s", path.c_str(),
              std::strerror(errno));
         std::remove(tmp.c_str());
         return false;
+    }
+    // Kill-after-Nth-store fault point (the kill-and-resume gate):
+    // fires `count` times and dies on the last one, i.e. after the
+    // Nth entry has landed under its final name.
+    if (faultinject::fire(faultinject::Point::CacheStoreKill) &&
+        !faultinject::pending(faultinject::Point::CacheStoreKill)) {
+        std::raise(SIGKILL);
     }
     return true;
 }

@@ -24,7 +24,7 @@
  * field against the requested key — a file-name collision degrades to
  * a miss, never to a wrong snapshot.
  *
- * Entry format. One sealed line sharing the campaign journal's codec
+ * Entry format. One sealed line in the snapshot codec
  * (runner/snapshot_codec.hh):
  *
  *     {"darco_cache":1,"engine":"...","workload":"...",
@@ -41,11 +41,18 @@
  * see either no file or a complete one — and a lost rename race just
  * means the last writer's (bit-identical) entry wins.
  *
- * Durability contract — deliberately weaker than the journal's. A
- * journal append that fails must fatal (the runner would otherwise
- * report a job done on the strength of an entry that does not
- * exist); a cache store that fails costs only a future re-simulation,
- * so it warns and continues.
+ * Crash contract. The cache is also how a crashed campaign resumes:
+ * re-run the same command with the same cache directory, and every
+ * job whose entry landed before the crash is a hit. A store that
+ * fails (full disk, quota, a write error that only fclose reports)
+ * warns and returns false; the job is still reported ok, because
+ * its result is in memory. Nothing is published under the final
+ * name unless every byte was written and the file closed cleanly,
+ * so a failed or interrupted store leaves under that name either no
+ * entry or the previous complete one. A store that did not land therefore costs
+ * the resumed run one re-simulation of that job, and the
+ * deterministic engine makes that re-simulation bit-identical. A
+ * crash can cost simulation time; it can never change a result.
  */
 
 #ifndef DARCO_RUNNER_RESULT_CACHE_HH
@@ -67,7 +74,8 @@ struct CacheKey
     std::string workloadUri;
     /** runner::configFingerprint of the job's effective config. */
     uint64_t fingerprint = 0;
-    /** Engine version pin (kJournalEngineVersion for live runs). */
+    /** Engine version pin (kJournalEngineVersion for live runs,
+     *  runner/journal.hh). */
     std::string engine;
 };
 
@@ -92,8 +100,10 @@ class ResultCache
 
     /**
      * Publish a snapshot under @p key via atomic rename-on-commit.
-     * Best-effort: failures warn and return false (the result is
-     * still in the journal / in memory; only future reuse is lost).
+     * Best-effort: failures warn and return false, leaving no file
+     * under the temp name or the final name (the result is still in
+     * memory; only future reuse is lost). The cache-store-kill fault
+     * point raises SIGKILL after the Nth successful rename.
      */
     bool store(const CacheKey &key, const sim::RunSnapshot &snap);
 

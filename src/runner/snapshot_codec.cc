@@ -48,7 +48,7 @@ decodeHex(const std::string &hex, uint8_t *out, size_t len)
 
 // PipeStats is all counters and fixed-size arrays; the codec
 // round-trips it as raw bytes. Guarded so a future non-POD member
-// breaks the build here instead of corrupting journals and caches.
+// breaks the build here instead of corrupting cache entries.
 static_assert(std::is_trivially_copyable_v<timing::PipeStats>,
               "snapshot codec serializes PipeStats as raw bytes");
 

@@ -1,19 +1,16 @@
 /**
  * @file
  * Canonical flat-hex serialization of `sim::RunSnapshot` plus the
- * checksummed single-line envelope shared by every durable result
- * store in the runner layer.
+ * checksummed single-line envelope the result cache
+ * (runner/result_cache.hh, one file per (workload, config, engine)
+ * key) stores completed runs in.
  *
- * Two subsystems persist completed runs: the crash-resumable
- * campaign journal (runner/journal.hh, one JSONL entry per finished
- * job) and the content-addressed result cache (runner/result_cache.hh,
- * one file per (workload, config, engine) key). Both must agree,
- * byte for byte, on how a snapshot becomes text — the journal's
- * replay gate and the cache's verify-hits audit both hinge on a
- * parsed snapshot being indistinguishable from the run that produced
- * it (`timing::diffStats` / `tol::diffTolStats` /
- * `profile::diffProfiles` all empty). Keeping the codec in one place
- * makes that agreement structural instead of disciplined.
+ * The cache's kill-and-resume gate and its verify-hits audit both
+ * hinge on a parsed snapshot being indistinguishable from the run
+ * that produced it (`timing::diffStats` / `tol::diffTolStats` /
+ * `profile::diffProfiles` all empty). Keeping the codec apart from
+ * the cache's file handling lets the round-trip be tested on its
+ * own.
  *
  * Serialization rules (docs/robustness.md §4, docs/campaigns.md §2):
  *

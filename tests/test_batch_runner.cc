@@ -10,10 +10,7 @@
 
 #include <gtest/gtest.h>
 
-#include <sys/resource.h>
-
 #include <atomic>
-#include <csignal>
 #include <cstdio>
 #include <iterator>
 #include <thread>
@@ -21,7 +18,7 @@
 #include "common/logging.hh"
 #include "profile/profile.hh"
 #include "runner/batch_runner.hh"
-#include "runner/journal.hh"
+#include "runner/campaign_flags.hh"
 #include "sim/metrics.hh"
 #include "timing/pipeline.hh"
 #include "tol/stats.hh"
@@ -400,63 +397,82 @@ TEST(BatchRunner, DuplicateCapturePathsRejected)
 }
 
 // ---------------------------------------------------------------------
-// Journal durability: I/O failures must be loud and classified.
+// Campaign flags: one parser for every batch-capable command line.
 // ---------------------------------------------------------------------
 
-// Regression (found by the lint gate's unused-return-value class):
-// Journal::append and the header write ignored the fwrite/fflush
-// results, so on a full disk the runner would report a job done on
-// the strength of an entry that never became durable — the exact
-// contract docs/robustness.md §4 promises. Both paths must fail as
-// a classified Io fatal, never silently.
+namespace {
 
-TEST(JournalDurability, HeaderWriteFailureIsLoudAndClassifiedIo)
+/** parseCampaignFlags over a literal argument list (argv[0] added). */
+std::vector<std::string>
+parseFlags(std::vector<std::string> args, runner::BatchConfig &config)
 {
-    // /dev/full accepts the open and fails every write with ENOSPC.
-    ScopedFatalThrow seam;
-    try {
-        runner::Journal journal("/dev/full");
-        FAIL() << "journal header write to /dev/full succeeded";
-    } catch (const FatalError &e) {
-        EXPECT_EQ(e.kind(), ErrKind::Io) << e.what();
-        EXPECT_NE(std::string(e.what()).find("journal"),
-                  std::string::npos);
+    args.insert(args.begin(), "tool");
+    std::vector<const char *> argv;
+    for (const std::string &a : args)
+        argv.push_back(a.c_str());
+    return runner::parseCampaignFlags(static_cast<int>(argv.size()),
+                                      argv.data(), config);
+}
+
+} // namespace
+
+TEST(CampaignFlags, ParsesIntoBatchConfigAndPassesTheRestThrough)
+{
+    runner::BatchConfig config;
+    const std::vector<std::string> rest = parseFlags(
+        {"--budget=5", "--jobs=3", "--timeout=250", "--retries=2",
+         "--shard=1/3", "--cache-dir=some/dir", "--verify-hits=0.25",
+         "429.mcf"},
+        config);
+    EXPECT_EQ(rest, (std::vector<std::string>{"--budget=5", "429.mcf"}));
+    EXPECT_EQ(config.workers, 3u);
+    EXPECT_EQ(config.timeoutMs, 250u);
+    EXPECT_EQ(config.retries, 2u);
+    EXPECT_EQ(config.shard.index, 1u);
+    EXPECT_EQ(config.shard.count, 3u);
+    EXPECT_EQ(config.cacheDir, "some/dir");
+    EXPECT_EQ(config.verifyHitFraction, 0.25);
+
+    // Both ends of the verify-hits range are valid.
+    for (const char *f : {"--verify-hits=0", "--verify-hits=1"}) {
+        runner::BatchConfig c;
+        parseFlags({"--cache-dir=d", f}, c);
     }
 }
 
-TEST(JournalDurability, AppendFailureIsLoudAndClassifiedIo)
+TEST(CampaignFlags, RejectsEachBadInput)
 {
-    const std::string path = tempPath("journal_full_disk.jsonl");
-    std::remove(path.c_str());
-
-    // Open the journal (header fits), then cap the file size below
-    // one entry: the append's write/flush fails with EFBIG, which
-    // must surface as an error return, not the default SIGXFSZ kill.
-    struct rlimit old_limit{};
-    ASSERT_EQ(getrlimit(RLIMIT_FSIZE, &old_limit), 0);
-    std::signal(SIGXFSZ, SIG_IGN);
-    {
-        runner::Journal journal(path);
-        struct rlimit capped = old_limit;
-        capped.rlim_cur = 64;
-        ASSERT_EQ(setrlimit(RLIMIT_FSIZE, &capped), 0);
-
-        runner::JournalEntry entry;
-        entry.jobIndex = 3;
-        entry.workload = "source://synthetic/429.mcf";
-        ScopedFatalThrow seam;
-        try {
-            journal.append(entry);
-            ADD_FAILURE() << "append past the size cap succeeded";
-        } catch (const FatalError &e) {
-            EXPECT_EQ(e.kind(), ErrKind::Io) << e.what();
-            EXPECT_NE(std::string(e.what()).find("not durable"),
-                      std::string::npos);
-        }
+    const std::vector<std::vector<std::string>> bad = {
+        // --verify-hits=all used to parse to 0: verification off.
+        {"--cache-dir=d", "--verify-hits=all"},
+        {"--cache-dir=d", "--verify-hits=nan"},
+        {"--cache-dir=d", "--verify-hits=1.5"},
+        {"--cache-dir=d", "--verify-hits=-0.1"},
+        {"--cache-dir=d", "--verify-hits=0.5x"},
+        {"--cache-dir=d", "--verify-hits="},
+        // Used to be silently ignored.
+        {"--verify-hits=1"},
+        // Trailing characters used to be accepted.
+        {"--shard=0/3x"},
+        {"--shard=0x/3"},
+        {"--shard=0"},
+        {"--shard=3/3"},
+        {"--shard=0/0"},
+        {"--shard=-1/3"},
+        {"--jobs=4x"},
+        {"--jobs=-1"},
+        {"--jobs="},
+        {"--jobs=99999999999"},
+        {"--timeout=1s"},
+        {"--retries= 2"},
+        {"--cache-dir="},
+    };
+    for (const std::vector<std::string> &args : bad) {
+        SCOPED_TRACE(args.back());
+        runner::BatchConfig config;
+        ScopedFatalThrow fatal_throws;
+        EXPECT_THROW(parseFlags(args, config), FatalError);
     }
-    ASSERT_EQ(setrlimit(RLIMIT_FSIZE, &old_limit), 0);
-    std::signal(SIGXFSZ, SIG_DFL);
-    std::remove(path.c_str());
 }
 
 // ---------------------------------------------------------------------

@@ -5,16 +5,16 @@
  * retry policy must re-run exactly the transient classes with the
  * deterministic backoff schedule, a watchdog-cancelled job must
  * report Timeout with partial metrics while its batch completes, and
- * a SIGKILLed campaign must resume from its journal bit-identically
- * to an uninterrupted run.
+ * a SIGKILLed campaign re-run with the same result cache directory
+ * must resume bit-identically to an uninterrupted run.
  *
  * This binary has a custom main: it arms fault-injection points from
  * DARCO_FAULTINJECT (so child processes can be armed through the
  * environment) and, when DARCO_FT_CAMPAIGN_CHILD is set, runs the
  * kill-and-resume campaign instead of the test suite. The parent
  * test re-execs itself (/proc/self/exe) in that mode with
- * journal-kill armed, so the process really dies mid-campaign with
- * SIGKILL — no in-process simulation of a crash.
+ * cache-store-kill armed, so the process really dies mid-campaign
+ * with SIGKILL — no in-process simulation of a crash.
  */
 
 #include <gtest/gtest.h>
@@ -31,8 +31,10 @@
 #include "common/faultinject.hh"
 #include "common/logging.hh"
 #include "guest/assembler.hh"
+#include "campaign_util.hh"
 #include "runner/batch_runner.hh"
 #include "runner/journal.hh"
+#include "runner/result_cache.hh"
 #include "sim/metrics.hh"
 #include "sim/run_error.hh"
 #include "timing/pipeline.hh"
@@ -42,15 +44,10 @@
 #include "workloads/source.hh"
 
 using namespace darco;
+using namespace darco::testutil;
 namespace g = darco::guest;
 
 namespace {
-
-std::string
-tempPath(const std::string &name)
-{
-    return testing::TempDir() + name;
-}
 
 /** Disarm every injection point on entry and exit, so a failing
  *  EXPECT cannot leak an armed point into the next test. */
@@ -59,24 +56,6 @@ struct FaultClear
     FaultClear() { faultinject::disarmAll(); }
     ~FaultClear() { faultinject::disarmAll(); }
 };
-
-sim::MetricsOptions
-smallOptions(uint64_t budget)
-{
-    sim::MetricsOptions options;
-    options.guestBudget = budget;
-    options.tolConfig.bbToSbThreshold = sim::scaledSbThreshold(budget);
-    return options;
-}
-
-runner::BatchJob
-makeJob(std::string uri, sim::MetricsOptions options)
-{
-    runner::BatchJob job;
-    job.workload = std::move(uri);
-    job.options = std::move(options);
-    return job;
-}
 
 /** A small guest that reaches HALT well inside its budget. */
 trace::TraceFile
@@ -144,39 +123,6 @@ campaignJobs()
         }
     }
     return jobs;
-}
-
-/** Per-slot bit-identity: the journal/replay acceptance currency. */
-void
-expectIdenticalSlots(const std::vector<runner::JobResult> &got,
-                     const std::vector<runner::JobResult> &want)
-{
-    ASSERT_EQ(got.size(), want.size());
-    for (size_t i = 0; i < got.size(); ++i) {
-        SCOPED_TRACE(want[i].uri + strprintf(" (job %zu)", i));
-        EXPECT_TRUE(got[i].ok);
-        EXPECT_TRUE(want[i].ok);
-        EXPECT_EQ(got[i].name, want[i].name);
-        EXPECT_EQ(got[i].suite, want[i].suite);
-        EXPECT_EQ(got[i].snapshot.result.guestRetired,
-                  want[i].snapshot.result.guestRetired);
-        EXPECT_EQ(got[i].snapshot.result.cycles,
-                  want[i].snapshot.result.cycles);
-        EXPECT_EQ(got[i].snapshot.result.halted,
-                  want[i].snapshot.result.halted);
-        EXPECT_EQ(got[i].snapshot.timingCore,
-                  want[i].snapshot.timingCore);
-        EXPECT_EQ(timing::diffStats(got[i].snapshot.stats,
-                                    want[i].snapshot.stats), "");
-        EXPECT_EQ(tol::diffTolStats(got[i].snapshot.tolStats,
-                                    want[i].snapshot.tolStats), "");
-        // Figure metrics are pure functions of the snapshot
-        // (sim::collectMetrics); spot-check the headline fields.
-        EXPECT_EQ(got[i].metrics.dynSbm, want[i].metrics.dynSbm);
-        EXPECT_EQ(got[i].metrics.cycles, want[i].metrics.cycles);
-        EXPECT_DOUBLE_EQ(got[i].metrics.tolCycles,
-                         want[i].metrics.tolCycles);
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -533,7 +479,9 @@ TEST(Watchdog, NormalJobsUnaffectedByEnabledWatchdog)
 }
 
 // ---------------------------------------------------------------------
-// Journal: fingerprints, replay, damage tolerance, resume.
+// Resume through the result cache: fingerprints, replay, damage
+// tolerance, kill-and-resume. The suite is named after the header
+// that declares the experiment identity (runner/journal.hh).
 // ---------------------------------------------------------------------
 
 TEST(Journal, FingerprintKeysTheEffectiveExperiment)
@@ -562,18 +510,30 @@ TEST(Journal, FingerprintKeysTheEffectiveExperiment)
 
 TEST(Journal, MissingFileIsAnEmptyLoad)
 {
-    const auto load =
-        runner::loadJournal(tempPath("ft_never_written.journal"));
-    EXPECT_TRUE(load.entries.empty());
-    EXPECT_EQ(load.skippedLines, 0u);
-    EXPECT_EQ(load.engine, "");
+    // Resuming a campaign that never started is a no-op: a fresh
+    // cache directory holds nothing, a lookup creates nothing, and
+    // every job of the "resumed" run simulates.
+    const std::string dir = freshCacheDir("ft_never_written");
+    runner::ResultCache cache(dir);
+    EXPECT_FALSE(cache
+                     .lookup({workloads::syntheticUri("464.h264ref"), 1,
+                              runner::kJournalEngineVersion})
+                     .has_value());
+    EXPECT_TRUE(listFiles(dir).empty());
+
+    runner::BatchConfig cfg;
+    cfg.workers = 1;
+    cfg.cacheDir = dir;
+    const auto first = runner::BatchRunner(cfg).run(
+        {makeJob(workloads::syntheticUri("464.h264ref"),
+                 smallOptions(50'000))});
+    EXPECT_TRUE(first[0].ok) << first[0].error;
+    EXPECT_EQ(first[0].cacheStatus, runner::CacheStatus::Miss);
+    EXPECT_EQ(first[0].attempts, 1u);
 }
 
 TEST(Journal, ReplayIsBitIdenticalAndSkipsExecution)
 {
-    const std::string journal = tempPath("ft_replay.journal");
-    std::remove(journal.c_str());
-
     std::vector<runner::BatchJob> jobs;
     for (const char *name : {"464.h264ref", "436.cactusADM"}) {
         jobs.push_back(makeJob(workloads::syntheticUri(name),
@@ -586,21 +546,21 @@ TEST(Journal, ReplayIsBitIdenticalAndSkipsExecution)
     serial.workers = 1;
     const auto reference = runner::BatchRunner(serial).run(jobs);
 
-    runner::BatchConfig journaled;
-    journaled.workers = 2;
-    journaled.journalPath = journal;
-    const auto first = runner::BatchRunner(journaled).run(jobs);
+    runner::BatchConfig cached;
+    cached.workers = 2;
+    cached.cacheDir = freshCacheDir("ft_replay");
+    const auto first = runner::BatchRunner(cached).run(jobs);
     for (const runner::JobResult &r : first) {
         EXPECT_TRUE(r.ok) << r.error;
-        EXPECT_FALSE(r.fromJournal);
+        EXPECT_EQ(r.cacheStatus, runner::CacheStatus::Miss);
         EXPECT_EQ(r.attempts, 1u);
     }
     expectIdenticalSlots(first, reference);
 
-    const auto second = runner::BatchRunner(journaled).run(jobs);
+    const auto second = runner::BatchRunner(cached).run(jobs);
     for (const runner::JobResult &r : second) {
         EXPECT_TRUE(r.ok) << r.error;
-        EXPECT_TRUE(r.fromJournal);
+        EXPECT_EQ(r.cacheStatus, runner::CacheStatus::Hit);
         EXPECT_EQ(r.attempts, 0u);
     }
     expectIdenticalSlots(second, reference);
@@ -608,87 +568,89 @@ TEST(Journal, ReplayIsBitIdenticalAndSkipsExecution)
 
 TEST(Journal, DamagedLinesAreSkippedNotFatal)
 {
-    const std::string journal = tempPath("ft_damaged.journal");
-    std::remove(journal.c_str());
     const std::vector<runner::BatchJob> jobs = {
         makeJob(workloads::syntheticUri("464.h264ref"),
                 smallOptions(50'000)),
         makeJob(workloads::syntheticUri("436.cactusADM"),
                 smallOptions(50'000)),
+        makeJob(workloads::syntheticUri("429.mcf"),
+                smallOptions(50'000)),
     };
     runner::BatchConfig cfg;
     cfg.workers = 1;
-    cfg.journalPath = journal;
+    cfg.cacheDir = freshCacheDir("ft_damaged");
     const auto first = runner::BatchRunner(cfg).run(jobs);
-    ASSERT_TRUE(first[0].ok && first[1].ok);
+    ASSERT_TRUE(first[0].ok && first[1].ok && first[2].ok);
+    ASSERT_EQ(countEntries(cfg.cacheDir), 3u);
 
-    // Damage the file the way a crash or a stray writer would: a
-    // garbage line, a bit-flipped copy of a valid entry, and a torn
-    // (truncated, no-newline) tail.
-    const auto intact = runner::loadJournal(journal);
-    ASSERT_EQ(intact.entries.size(), 2u);
-    FILE *fp = std::fopen(journal.c_str(), "ab");
-    ASSERT_NE(fp, nullptr);
-    std::fputs("this is not json\n", fp);
-    std::fputs("{\"job\":0,\"workload\":\"x\",\"csum\":"
-               "\"0000000000000000\"}\n", fp);
-    std::fputs("{\"job\":1,\"workload\":\"tor", fp);  // torn tail
-    std::fclose(fp);
+    // Damage the directory the way a crash or a stray writer would:
+    // garbage in place of job 2's entry, an entry with a forged
+    // checksum, and a torn temp file a killed store left behind.
+    runner::ResultCache cache(cfg.cacheDir);
+    const auto put = [](const std::string &path, const char *data) {
+        FILE *fp = std::fopen(path.c_str(), "wb");
+        ASSERT_NE(fp, nullptr) << path;
+        std::fputs(data, fp);
+        std::fclose(fp);
+    };
+    put(cache.entryPath(keyFor(first[2])), "this is not json\n");
+    put(cfg.cacheDir + "/00000000deadbeef.dcache",
+        "{\"darco_cache\":1,\"csum\":\"0000000000000000\"}\n");
+    put(cache.entryPath(keyFor(first[0])) + ".tmp.1.0",
+        "{\"darco_cache\":1,\"engine\":\"tor");
 
-    const auto load = runner::loadJournal(journal);
-    EXPECT_EQ(load.entries.size(), 2u);
-    EXPECT_EQ(load.skippedLines, 3u);
-
-    // Resume over the damaged journal still replays the intact work.
+    // The resumed run still replays the intact work; the damaged
+    // entry costs one re-simulation, which replaces it.
     const auto resumed = runner::BatchRunner(cfg).run(jobs);
-    EXPECT_TRUE(resumed[0].fromJournal);
-    EXPECT_TRUE(resumed[1].fromJournal);
+    EXPECT_EQ(resumed[0].cacheStatus, runner::CacheStatus::Hit);
+    EXPECT_EQ(resumed[1].cacheStatus, runner::CacheStatus::Hit);
+    EXPECT_EQ(resumed[2].cacheStatus, runner::CacheStatus::Miss);
+    EXPECT_EQ(resumed[2].attempts, 1u);
+    expectIdenticalSlots(resumed, first);
+    EXPECT_TRUE(cache.lookup(keyFor(first[2])).has_value());
 }
 
 TEST(Journal, ConfigChangeInvalidatesEntries)
 {
-    const std::string journal = tempPath("ft_fpchange.journal");
-    std::remove(journal.c_str());
     runner::BatchConfig cfg;
     cfg.workers = 1;
-    cfg.journalPath = journal;
+    cfg.cacheDir = freshCacheDir("ft_fpchange");
 
     const auto first = runner::BatchRunner(cfg).run(
         {makeJob(workloads::syntheticUri("464.h264ref"),
                  smallOptions(50'000))});
     ASSERT_TRUE(first[0].ok);
 
-    // Same job index + workload, different budget: the fingerprint
-    // mismatch must force a re-run, not a stale replay.
+    // Same workload, different budget: the fingerprint mismatch
+    // must force a re-run, not a stale replay.
     const auto changed = runner::BatchRunner(cfg).run(
         {makeJob(workloads::syntheticUri("464.h264ref"),
                  smallOptions(55'000))});
     ASSERT_TRUE(changed[0].ok) << changed[0].error;
-    EXPECT_FALSE(changed[0].fromJournal);
+    EXPECT_EQ(changed[0].cacheStatus, runner::CacheStatus::Miss);
     EXPECT_EQ(changed[0].attempts, 1u);
 }
 
 TEST(Journal, CaptureJobsAlwaysReRun)
 {
-    const std::string journal = tempPath("ft_capture.journal");
     const std::string capture = tempPath("ft_capture.dtrc");
-    std::remove(journal.c_str());
-
     runner::BatchJob job = makeJob(workloads::syntheticUri("464.h264ref"),
                                    smallOptions(50'000));
     job.options.captureTracePath = capture;
     runner::BatchConfig cfg;
     cfg.workers = 1;
-    cfg.journalPath = journal;
+    cfg.cacheDir = freshCacheDir("ft_capture");
     const auto first = runner::BatchRunner(cfg).run({job});
     ASSERT_TRUE(first[0].ok) << first[0].error;
 
-    // The journal must not have recorded the capture job: its product
+    // The cache must not have recorded the capture job: its product
     // is the capture file, which only a re-run can regenerate.
+    EXPECT_EQ(countEntries(cfg.cacheDir), 0u);
     std::remove(capture.c_str());
     const auto second = runner::BatchRunner(cfg).run({job});
     ASSERT_TRUE(second[0].ok) << second[0].error;
-    EXPECT_FALSE(second[0].fromJournal);
+    EXPECT_EQ(second[0].cacheStatus, runner::CacheStatus::Bypass);
+    EXPECT_EQ(second[0].attempts, 1u);
     EXPECT_TRUE(trace::readTrace(capture).ok());
 }
 
@@ -698,68 +660,80 @@ TEST(Journal, CaptureJobsAlwaysReRun)
 
 TEST(KillAndResume, SigkilledCampaignResumesBitIdentically)
 {
-    const std::string journal = tempPath("ft_kill_resume.journal");
-    std::remove(journal.c_str());
+    const std::vector<runner::BatchJob> jobs = campaignJobs();
+    runner::BatchConfig serial;
+    serial.workers = 1;
+    const auto reference = runner::BatchRunner(serial).run(jobs);
 
-    // Re-exec this binary in campaign-child mode with journal-kill
-    // armed through the environment: the 8th journal append raises
-    // SIGKILL, so the child dies for real, mid-campaign, with workers
-    // in flight. The link must be resolved HERE: inside system()'s
-    // shell, /proc/self/exe names the shell, not this binary.
+    // The link must be resolved HERE: inside system()'s shell,
+    // /proc/self/exe names the shell, not this binary.
     char self[4096];
     const ssize_t len =
         ::readlink("/proc/self/exe", self, sizeof(self) - 1);
     ASSERT_GT(len, 0);
     self[len] = '\0';
-    const std::string cmd =
-        "DARCO_FT_CAMPAIGN_CHILD='" + journal +
-        "' DARCO_FAULTINJECT=journal-kill:8 "
-        "exec '" + std::string(self) + "' >/dev/null 2>&1";
-    const int rc = std::system(cmd.c_str());
-    ASSERT_NE(rc, -1);
-    // With `exec` the shell IS the child and dies by signal; some
-    // shells fork anyway and report 128+SIGKILL as an exit status.
-    const bool killed =
-        (WIFSIGNALED(rc) && WTERMSIG(rc) == SIGKILL) ||
-        (WIFEXITED(rc) && WEXITSTATUS(rc) == 128 + SIGKILL);
-    ASSERT_TRUE(killed) << "child status " << rc;
 
-    // Exactly the appends that were flushed before the kill survive.
-    const auto load = runner::loadJournal(journal);
-    EXPECT_EQ(load.engine, runner::kJournalEngineVersion);
-    ASSERT_EQ(load.entries.size(), 8u);
-    EXPECT_EQ(load.skippedLines, 0u);
+    for (const unsigned workers : {1u, 4u}) {
+        SCOPED_TRACE(strprintf("%u worker(s)", workers));
+        const std::string dir =
+            freshCacheDir(strprintf("ft_kill_resume_%u", workers));
 
-    // Resume the identical campaign over the journal: the 8 completed
-    // jobs replay, the rest run, and every slot is bit-identical to
-    // an uninterrupted serial execution.
-    const std::vector<runner::BatchJob> jobs = campaignJobs();
-    runner::BatchConfig resume;
-    resume.workers = 3;
-    resume.journalPath = journal;
-    const auto resumed = runner::BatchRunner(resume).run(jobs);
-    unsigned replayed = 0;
-    for (const runner::JobResult &r : resumed) {
-        EXPECT_TRUE(r.ok) << r.uri << ": " << r.error;
-        replayed += r.fromJournal ? 1 : 0;
+        // Re-exec this binary in campaign-child mode with
+        // cache-store-kill armed through the environment: the 8th
+        // store to land raises SIGKILL, so the child dies for real,
+        // mid-campaign, with the other workers in flight.
+        const std::string cmd =
+            "DARCO_FT_CAMPAIGN_CHILD='" + dir +
+            "' DARCO_FT_CAMPAIGN_WORKERS=" + std::to_string(workers) +
+            " DARCO_FAULTINJECT=cache-store-kill:8 exec '" +
+            std::string(self) + "' >/dev/null 2>&1";
+        const int rc = std::system(cmd.c_str());
+        ASSERT_NE(rc, -1);
+        // With `exec` the shell IS the child and dies by signal; some
+        // shells fork anyway and report 128+SIGKILL as an exit
+        // status.
+        const bool killed =
+            (WIFSIGNALED(rc) && WTERMSIG(rc) == SIGKILL) ||
+            (WIFEXITED(rc) && WEXITSTATUS(rc) == 128 + SIGKILL);
+        ASSERT_TRUE(killed) << "child status " << rc;
+
+        // The stores that landed before the kill survive intact. One
+        // worker lands exactly 8; with several, another worker's
+        // rename can slip in between the 8th rename and the kill.
+        const size_t landed = countEntries(dir);
+        if (workers == 1) {
+            EXPECT_EQ(landed, 8u);
+        }
+        EXPECT_GE(landed, 8u);
+
+        // Resume by re-running the identical campaign over the same
+        // cache: every landed job hits, the rest run, and every slot
+        // is bit-identical to an uninterrupted run without a cache.
+        runner::BatchConfig resume;
+        resume.workers = workers;
+        resume.cacheDir = dir;
+        const auto resumed = runner::BatchRunner(resume).run(jobs);
+        size_t hits = 0;
+        for (const runner::JobResult &r : resumed) {
+            EXPECT_TRUE(r.ok) << r.uri << ": " << r.error;
+            hits += r.cacheStatus == runner::CacheStatus::Hit;
+        }
+        EXPECT_EQ(hits, landed);
+        expectIdenticalSlots(resumed, reference);
     }
-    EXPECT_EQ(replayed, 8u);
-
-    runner::BatchConfig serial;
-    serial.workers = 1;
-    const auto reference = runner::BatchRunner(serial).run(jobs);
-    expectIdenticalSlots(resumed, reference);
 }
 
 /** Campaign-child body (DARCO_FT_CAMPAIGN_CHILD): run the standard
- *  campaign against the given journal and report plain pass/fail —
- *  the parent expects this process to die by SIGKILL instead. */
+ *  campaign against the given cache directory and report plain
+ *  pass/fail — the parent expects this process to die by SIGKILL
+ *  instead. */
 int
-runCampaignChild(const char *journal_path)
+runCampaignChild(const char *cache_dir)
 {
     runner::BatchConfig cfg;
-    cfg.workers = 2;
-    cfg.journalPath = journal_path;
+    if (const char *workers = std::getenv("DARCO_FT_CAMPAIGN_WORKERS"))
+        cfg.workers = static_cast<unsigned>(std::atoi(workers));
+    cfg.cacheDir = cache_dir;
     const auto results = runner::BatchRunner(cfg).run(campaignJobs());
     for (const runner::JobResult &r : results) {
         if (!r.ok)
@@ -776,8 +750,8 @@ main(int argc, char **argv)
     // Environment-driven arming first: child processes (and manual
     // fault drills) configure injection before any code can run.
     darco::faultinject::armFromEnv();
-    if (const char *journal = std::getenv("DARCO_FT_CAMPAIGN_CHILD"))
-        return runCampaignChild(journal);
+    if (const char *dir = std::getenv("DARCO_FT_CAMPAIGN_CHILD"))
+        return runCampaignChild(dir);
     testing::InitGoogleTest(&argc, argv);
     return RUN_ALL_TESTS();
 }

@@ -6,7 +6,8 @@
  * with pencil-and-paper answers, the analytic-LRU oracle against the
  * simulated fully-associative true-LRU cache across the four paper
  * suites, mispredict-attribution parity with the pipeline's own
- * predictor, and journal round-tripping of profiles.
+ * predictor, and the plumbing that carries profiles through
+ * options, fingerprints and diffs.
  */
 
 #include <gtest/gtest.h>
@@ -545,55 +546,6 @@ TEST(ProfilePlumbing, DiffProfilesLocalizesMismatches)
     EXPECT_NE(diff4.find("distance 42"), std::string::npos) << diff4;
 }
 
-TEST(ProfilePlumbing, JournalRoundTripsProfiles)
-{
-    // The campaign journal must carry profiles: serialize an entry
-    // with a non-trivial profile, load it back, require bit-identity.
-    const std::string path =
-        testing::TempDir() + "profile_journal.jsonl";
-    std::remove(path.c_str());
-
-    runner::JournalEntry e;
-    e.jobIndex = 3;
-    e.workload = "429.mcf";
-    e.fingerprint = 0xDEADBEEFCAFEF00Dull;
-    e.name = "429.mcf";
-    e.suite = "SPEC INT";
-    e.uri = "source://synthetic/429.mcf";
-    profile::RunProfile prof;
-    prof.lineBytes = 64;
-    prof.dataReuse.coldAccesses = 17;
-    prof.dataReuse.counts[0] = 3;
-    prof.dataReuse.counts[1000000007ull] = 9;
-    prof.branches.dynBranches = 21;
-    prof.branches.dynCondBranches = 13;
-    prof.branches.mispredicts = 4;
-    profile::BranchSite site;
-    site.taken = 8;
-    site.notTaken = 5;
-    site.transitions = 6;
-    site.mispredicts = 4;
-    site.isCond = true;
-    prof.branches.sites[0x1234] = site;
-    site.isCond = false;
-    site.isIndirect = true;
-    prof.branches.sites[0xFFFFFFFC] = site;
-    e.snapshot.profile = prof;
-
-    {
-        runner::Journal journal(path);
-        journal.append(e);
-    }
-    const runner::JournalLoad load = runner::loadJournal(path);
-    EXPECT_EQ(load.skippedLines, 0u);
-    ASSERT_EQ(load.entries.size(), 1u);
-    ASSERT_TRUE(load.entries[0].snapshot.profile.has_value());
-    EXPECT_EQ(profile::diffProfiles(*load.entries[0].snapshot.profile,
-                                    prof), "");
-    EXPECT_TRUE(*load.entries[0].snapshot.profile == prof);
-    std::remove(path.c_str());
-}
-
 TEST(ProfilePlumbing, OptionsConfigRoundTripCarriesProfile)
 {
     sim::MetricsOptions options;
@@ -602,7 +554,7 @@ TEST(ProfilePlumbing, OptionsConfigRoundTripCarriesProfile)
     EXPECT_TRUE(cfg.profile);
     EXPECT_TRUE(sim::optionsFromConfig(cfg).profile);
     // And the fingerprint distinguishes profiled from unprofiled
-    // experiments (a journal entry from one must not satisfy the
+    // experiments (a cache entry from one must not satisfy the
     // other).
     sim::MetricsOptions off;
     EXPECT_NE(runner::configFingerprint(options, "w", true),

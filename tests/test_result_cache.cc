@@ -7,20 +7,22 @@
  * every component of the cache key invalidates, damaged entries are
  * rejected structurally and re-simulated, intra-batch dedup fans a
  * single simulation out bit-identically, verify-hits blesses honest
- * entries and hard-fails forged ones, and capture/isolation jobs
- * always bypass the cache.
+ * entries and hard-fails forged ones, capture jobs always bypass
+ * the cache while isolation jobs are cached with all three optional
+ * pipes, and a store that fails (full disk) leaves no file, keeps the
+ * job ok and costs only a re-simulation on the next run.
  */
 
 #include <gtest/gtest.h>
 
-#include <dirent.h>
-#include <sys/stat.h>
-#include <unistd.h>
+#include <sys/resource.h>
 
+#include <csignal>
 #include <cstdio>
 #include <string>
 #include <vector>
 
+#include "campaign_util.hh"
 #include "runner/batch_runner.hh"
 #include "runner/journal.hh"
 #include "runner/result_cache.hh"
@@ -28,56 +30,14 @@
 #include "sim/metrics.hh"
 #include "timing/pipeline.hh"
 #include "tol/stats.hh"
+#include "trace/trace.hh"
 #include "workloads/params.hh"
 #include "workloads/source.hh"
 
 using namespace darco;
+using namespace darco::testutil;
 
 namespace {
-
-std::string
-tempPath(const std::string &name)
-{
-    return testing::TempDir() + name;
-}
-
-/**
- * A per-test cache directory, emptied of any entries a previous run
- * of the suite left behind — a stale entry would turn an expected
- * cold miss into a hit.
- */
-std::string
-freshCacheDir(const std::string &name)
-{
-    const std::string dir = tempPath(name);
-    ::mkdir(dir.c_str(), 0777);
-    if (DIR *d = ::opendir(dir.c_str())) {
-        while (const dirent *e = ::readdir(d)) {
-            const std::string file = e->d_name;
-            if (file != "." && file != "..")
-                ::unlink((dir + "/" + file).c_str());
-        }
-        ::closedir(d);
-    }
-    return dir;
-}
-
-size_t
-countEntries(const std::string &dir)
-{
-    size_t n = 0;
-    if (DIR *d = ::opendir(dir.c_str())) {
-        while (const dirent *e = ::readdir(d)) {
-            const std::string file = e->d_name;
-            if (file.size() > 7 &&
-                file.compare(file.size() - 7, 7, ".dcache") == 0) {
-                ++n;
-            }
-        }
-        ::closedir(d);
-    }
-    return n;
-}
 
 std::string
 readFile(const std::string &path)
@@ -104,24 +64,6 @@ writeFile(const std::string &path, const std::string &data)
     std::fclose(f);
 }
 
-sim::MetricsOptions
-smallOptions(uint64_t budget)
-{
-    sim::MetricsOptions options;
-    options.guestBudget = budget;
-    options.tolConfig.bbToSbThreshold = sim::scaledSbThreshold(budget);
-    return options;
-}
-
-runner::BatchJob
-makeJob(std::string uri, sim::MetricsOptions options)
-{
-    runner::BatchJob job;
-    job.workload = std::move(uri);
-    job.options = std::move(options);
-    return job;
-}
-
 /** A small campaign over the first @p count synthetic benchmarks. */
 std::vector<runner::BatchJob>
 smallCampaign(size_t count, uint64_t budget = 40'000)
@@ -140,47 +82,6 @@ runBatch(const std::vector<runner::BatchJob> &jobs,
          runner::BatchConfig config = {})
 {
     return runner::BatchRunner(std::move(config)).run(jobs);
-}
-
-/** Per-slot bit-identity: the cache acceptance currency. */
-void
-expectIdenticalSlots(const std::vector<runner::JobResult> &got,
-                     const std::vector<runner::JobResult> &want)
-{
-    ASSERT_EQ(got.size(), want.size());
-    for (size_t i = 0; i < got.size(); ++i) {
-        SCOPED_TRACE(want[i].uri + strprintf(" (job %zu)", i));
-        EXPECT_TRUE(got[i].ok);
-        EXPECT_TRUE(want[i].ok);
-        EXPECT_EQ(got[i].name, want[i].name);
-        EXPECT_EQ(got[i].suite, want[i].suite);
-        EXPECT_EQ(got[i].snapshot.result.guestRetired,
-                  want[i].snapshot.result.guestRetired);
-        EXPECT_EQ(got[i].snapshot.result.cycles,
-                  want[i].snapshot.result.cycles);
-        EXPECT_EQ(got[i].snapshot.result.halted,
-                  want[i].snapshot.result.halted);
-        EXPECT_EQ(got[i].snapshot.timingCore,
-                  want[i].snapshot.timingCore);
-        EXPECT_EQ(timing::diffStats(got[i].snapshot.stats,
-                                    want[i].snapshot.stats), "");
-        EXPECT_EQ(tol::diffTolStats(got[i].snapshot.tolStats,
-                                    want[i].snapshot.tolStats), "");
-        // Figure metrics are pure functions of the snapshot
-        // (sim::collectMetrics); spot-check the headline fields.
-        EXPECT_EQ(got[i].metrics.dynSbm, want[i].metrics.dynSbm);
-        EXPECT_EQ(got[i].metrics.cycles, want[i].metrics.cycles);
-        EXPECT_DOUBLE_EQ(got[i].metrics.tolCycles,
-                         want[i].metrics.tolCycles);
-    }
-}
-
-/** The cache key a batch job resolves to (mirrors the runner). */
-runner::CacheKey
-keyFor(const runner::JobResult &r)
-{
-    return {r.uri, r.fingerprint,
-            std::string(runner::kJournalEngineVersion)};
 }
 
 } // namespace
@@ -215,12 +116,20 @@ denseSnapshot()
     prof.lineBytes = 64;
     prof.dataReuse.coldAccesses = 5;
     prof.dataReuse.counts[3] = 9;
+    prof.dataReuse.counts[1000000007ull] = 2;  // beyond 32 bits
     prof.branches.dynBranches = 17;
+    prof.branches.dynCondBranches = 13;
+    prof.branches.mispredicts = 4;
     profile::BranchSite site;
     site.taken = 4;
     site.notTaken = 2;
+    site.transitions = 3;
+    site.mispredicts = 1;
     site.isCond = true;
     prof.branches.sites[0x1234] = site;
+    site.isCond = false;
+    site.isIndirect = true;
+    prof.branches.sites[0xFFFFFFFC] = site;  // top of the address space
     snap.profile = prof;
     return snap;
 }
@@ -250,6 +159,7 @@ TEST(SnapshotCodec, RoundTripsBitExactly)
     EXPECT_EQ(tol::diffTolStats(back.tolStats, snap.tolStats), "");
     ASSERT_TRUE(back.profile.has_value());
     EXPECT_EQ(profile::diffProfiles(*back.profile, *snap.profile), "");
+    EXPECT_TRUE(*back.profile == *snap.profile);
 }
 
 TEST(SnapshotCodec, TamperedEnvelopeFailsAuthentication)
@@ -619,42 +529,167 @@ TEST(VerifyHits, ForgedEntryHardFailsUnderVerification)
 }
 
 // ---------------------------------------------------------------------
-// Bypass: capture and isolation jobs never touch the cache.
+// Bypass: capture jobs never touch the cache; isolation jobs do.
 // ---------------------------------------------------------------------
 
-TEST(Bypass, CaptureAndIsolationJobsNeverUseTheCache)
+TEST(Bypass, CaptureJobsNeverUseTheCache)
 {
     const std::string dir = freshCacheDir("result_cache_bypass");
-    const auto &all = workloads::allBenchmarks();
-
-    std::vector<runner::BatchJob> jobs;
-    runner::BatchJob capture =
-        makeJob(workloads::syntheticUri(all[0].name),
-                smallOptions(40'000));
-    capture.options.captureTracePath =
-        tempPath("result_cache_bypass.dtrc");
-    jobs.push_back(capture);
-    runner::BatchJob isolation =
-        makeJob(workloads::syntheticUri(all[1].name),
-                smallOptions(40'000));
-    isolation.options.tolOnlyPipe = true;
-    isolation.options.appOnlyPipe = true;
-    isolation.options.tolModulePipe = true;
-    jobs.push_back(isolation);
+    const std::string trace = tempPath("result_cache_bypass.dtrc");
+    runner::BatchJob capture = makeJob(
+        workloads::syntheticUri(workloads::allBenchmarks()[0].name),
+        smallOptions(40'000));
+    capture.options.captureTracePath = trace;
 
     runner::BatchConfig config;
     config.cacheDir = dir;
     for (int pass = 0; pass < 2; ++pass) {
         SCOPED_TRACE(strprintf("pass %d", pass));
-        const std::vector<runner::JobResult> results =
-            runBatch(jobs, config);
-        for (const runner::JobResult &r : results) {
-            EXPECT_TRUE(r.ok) << r.error;
-            // Always executed, never a hit — even on the warm pass.
-            EXPECT_EQ(r.cacheStatus, runner::CacheStatus::Bypass);
-            EXPECT_GE(r.attempts, 1u);
-        }
+        // The capture file is the job's product: only a re-run can
+        // regenerate it, so delete it and require it back.
+        std::remove(trace.c_str());
+        const runner::JobResult r = runBatch({capture}, config)[0];
+        EXPECT_TRUE(r.ok) << r.error;
+        // Always executed, never a hit — even on the warm pass.
+        EXPECT_EQ(r.cacheStatus, runner::CacheStatus::Bypass);
+        EXPECT_GE(r.attempts, 1u);
+        EXPECT_TRUE(trace::readTrace(trace).ok());
         // And never stored.
         EXPECT_EQ(countEntries(dir), 0u);
     }
+}
+
+TEST(Isolation, WarmRerunHitsBitIdenticallyWithAllThreePipes)
+{
+    const auto &all = workloads::allBenchmarks();
+    sim::MetricsOptions isolated = smallOptions(40'000);
+    isolated.tolOnlyPipe = true;
+    isolated.appOnlyPipe = true;
+    isolated.tolModulePipe = true;
+    const std::vector<runner::BatchJob> jobs = {
+        makeJob(workloads::syntheticUri(all[0].name), isolated),
+        makeJob(workloads::syntheticUri(all[1].name), isolated),
+    };
+    const std::vector<runner::JobResult> reference = runBatch(jobs);
+    for (const runner::JobResult &r : reference) {
+        ASSERT_TRUE(r.snapshot.tolOnly.has_value());
+        ASSERT_TRUE(r.snapshot.appOnly.has_value());
+        ASSERT_TRUE(r.snapshot.tolModule.has_value());
+    }
+
+    for (const unsigned workers : {1u, 4u}) {
+        SCOPED_TRACE(strprintf("%u worker(s)", workers));
+        runner::BatchConfig config;
+        config.workers = workers;
+        config.cacheDir = freshCacheDir(
+            strprintf("result_cache_isolation_%u", workers));
+        for (const runner::JobResult &r : runBatch(jobs, config))
+            EXPECT_EQ(r.cacheStatus, runner::CacheStatus::Miss);
+        EXPECT_EQ(countEntries(config.cacheDir), jobs.size());
+
+        const std::vector<runner::JobResult> warm =
+            runBatch(jobs, config);
+        for (const runner::JobResult &r : warm) {
+            EXPECT_EQ(r.cacheStatus, runner::CacheStatus::Hit);
+            EXPECT_EQ(r.attempts, 0u);
+        }
+        expectIdenticalSlots(warm, reference);
+    }
+}
+
+// ---------------------------------------------------------------------
+// Store failures: loud, leave no file, never fail the job.
+// ---------------------------------------------------------------------
+
+namespace {
+
+/**
+ * Caps the size of any file this process writes (RLIMIT_FSIZE) for
+ * its lifetime, with SIGXFSZ ignored so an oversized write fails
+ * with EFBIG instead of killing the process — a full disk in
+ * miniature. kCap is far below one entry but above a warning line
+ * (gtest's stderr capture is a file too).
+ */
+constexpr rlim_t kCap = 512;
+
+class FileSizeCap
+{
+  public:
+    explicit FileSizeCap(rlim_t bytes)
+    {
+        EXPECT_EQ(getrlimit(RLIMIT_FSIZE, &saved), 0);
+        std::signal(SIGXFSZ, SIG_IGN);
+        struct rlimit capped = saved;
+        capped.rlim_cur = bytes;
+        EXPECT_EQ(setrlimit(RLIMIT_FSIZE, &capped), 0);
+    }
+    ~FileSizeCap()
+    {
+        setrlimit(RLIMIT_FSIZE, &saved);
+        std::signal(SIGXFSZ, SIG_DFL);
+    }
+    FileSizeCap(const FileSizeCap &) = delete;
+    FileSizeCap &operator=(const FileSizeCap &) = delete;
+
+  private:
+    struct rlimit saved{};
+};
+
+} // namespace
+
+TEST(StoreFailure, FailedStoreWarnsAndLeavesNoFile)
+{
+    const std::string dir = freshCacheDir("result_cache_store_fail");
+    runner::ResultCache cache(dir);
+    const runner::CacheKey key{"source://synthetic/x", 0x1234,
+                               runner::kJournalEngineVersion};
+    bool stored = true;
+    testing::internal::CaptureStderr();
+    {
+        FileSizeCap cap(kCap);
+        stored = cache.store(key, denseSnapshot());
+    }
+    const std::string err = testing::internal::GetCapturedStderr();
+    EXPECT_FALSE(stored);
+    EXPECT_NE(err.find("result cache: failed to publish"),
+              std::string::npos) << err;
+    // Neither the final name nor any temp name survives.
+    EXPECT_TRUE(listFiles(dir).empty());
+    EXPECT_FALSE(cache.lookup(key).has_value());
+
+    // Uncapped, the same store lands — and is bigger than the cap,
+    // so the capped write really did fail part-way.
+    EXPECT_TRUE(cache.store(key, denseSnapshot()));
+    EXPECT_TRUE(cache.lookup(key).has_value());
+    EXPECT_GT(readFile(cache.entryPath(key)).size(), kCap);
+}
+
+TEST(StoreFailure, JobStaysOkAndTheNextRunSimulatesAgain)
+{
+    const std::string dir = freshCacheDir("result_cache_store_fail_job");
+    const std::vector<runner::BatchJob> jobs = smallCampaign(2);
+    runner::BatchConfig config;
+    config.cacheDir = dir;
+
+    std::vector<runner::JobResult> capped;
+    {
+        FileSizeCap cap(kCap);
+        capped = runBatch(jobs, config);
+    }
+    for (const runner::JobResult &r : capped) {
+        // The result is in memory; only its future reuse was lost.
+        EXPECT_TRUE(r.ok) << r.error;
+        EXPECT_EQ(r.cacheStatus, runner::CacheStatus::Miss);
+    }
+    EXPECT_TRUE(listFiles(dir).empty());
+
+    // Nothing landed, so the next run misses and simulates again —
+    // bit-identically — and this time the stores land.
+    const std::vector<runner::JobResult> rerun = runBatch(jobs, config);
+    for (const runner::JobResult &r : rerun) {
+        EXPECT_EQ(r.cacheStatus, runner::CacheStatus::Miss);
+        EXPECT_GE(r.attempts, 1u);
+    }
+    expectIdenticalSlots(rerun, capped);
+    EXPECT_EQ(countEntries(dir), jobs.size());
 }

@@ -3,7 +3,7 @@
 
 The engine's core contract is that every measured quantity is a pure
 function of (workload, config) — bit-identical across machines, pool
-sizes, retries and journal replays. Two classes of source-level drift
+sizes, retries and cache hits. Two classes of source-level drift
 can silently break that contract long before any test notices:
 
 1. **Clock or randomness reads in engine code.** A `rand()` seeded
@@ -52,9 +52,9 @@ REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 # quantity — enforced by the bit-identical parallel-vs-serial and
 # kill-and-resume A/Bs in the test suite.
 #
-# The campaign scale-out layer (src/runner/ journal + result cache,
-# docs/campaigns.md) does file I/O — journal appends, cache entry
-# reads, atomic rename-on-commit writes — but needs NO allowlist
+# The campaign scale-out layer (src/runner/ result cache,
+# docs/campaigns.md) does file I/O — cache entry reads, atomic
+# rename-on-commit writes — but needs NO allowlist
 # entry and must never grow one for clocks or randomness: its
 # temp-file uniqueness comes from getpid() plus a process-local
 # atomic sequence, its hit/verify selection hashes the config
