@@ -13,6 +13,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -48,8 +49,10 @@ struct BenchArgs
     parse(int argc, char **argv)
     {
         BenchArgs args;
+        constexpr uint64_t kMaxBudget =
+            std::numeric_limits<uint64_t>::max();
         if (const char *env = std::getenv("DARCO_BUDGET"))
-            args.budget = std::strtoull(env, nullptr, 10);
+            args.budget = runner::parseCount("DARCO_BUDGET", env, kMaxBudget);
         for (const std::string &arg :
              runner::parseCampaignFlags(argc, argv, args.campaign)) {
             auto value = [&](const char *prefix) -> const char * {
@@ -59,7 +62,7 @@ struct BenchArgs
                 return nullptr;
             };
             if (const char *v = value("--budget="))
-                args.budget = std::strtoull(v, nullptr, 10);
+                args.budget = runner::parseCount("--budget", v, kMaxBudget);
             else if (const char *v2 = value("--suite="))
                 args.suite = v2;
             else if (const char *v3 = value("--benchmark="))

@@ -95,6 +95,9 @@ struct RunOutcome
     timing::PipeStats stats;
     timing::Pipeline::Engine engine =
         timing::Pipeline::Engine::CycleStepped;
+    /** sim::measuredPins with timing_core blank: the A/Bs compare
+     *  runs across cores, and `engine` records the core. */
+    trace::TracePins pins;
     double seconds = 0;
     /** Whether a characterization profiler was live in the timed
      *  System (recorded from the instance, not the requested config,
@@ -116,9 +119,9 @@ runScenario(const Scenario &sc, bool event_core, bool verify_ir = false,
         sc.custom ? workloads::syntheticWorkload(*sc.custom)
                   : workloads::resolveWorkload(sc.workload);
 
-    sim::SimConfig cfg;
-    cfg.guestBudget = sc.budget;
-    cfg.tol.bbToSbThreshold = sc.sbThreshold;
+    sim::MetricsOptions options;
+    options.guestBudget = sc.budget;
+    options.tolConfig.bbToSbThreshold = sc.sbThreshold;
     // Perf baselines time the bare engine: the IR/regalloc verifier
     // (default-on under ctest) re-derives dataflow for every
     // translation, which is translation-path work a throughput
@@ -126,17 +129,17 @@ runScenario(const Scenario &sc, bool event_core, bool verify_ir = false,
     // on every committed scenario; the verify_ir override exists for
     // the informational overhead A/B below, which never reaches the
     // reporter.
-    cfg.tol.verifyIr = verify_ir;
-    cfg.timing.eventCore = event_core;
-    cfg.timing.burst = burst;
-    cfg.timing.issueWidth = sc.issueWidth;
+    options.tolConfig.verifyIr = verify_ir;
+    options.timingConfig.eventCore = event_core;
+    options.timingConfig.burst = burst;
+    options.timingConfig.issueWidth = sc.issueWidth;
     if (sc.interpretOnly)
-        cfg.tol.imToBbThreshold = 0xFFFFFFFFu;
+        options.tolConfig.imToBbThreshold = 0xFFFFFFFFu;
     // Bit-identical replay: a trace's capture-time recipe wins over
     // the scenario fields (which are 0 for trace scenarios).
-    sim::applyCaptureRecipe(cfg, workload);
+    sim::applyCaptureRecipe(options, workload);
 
-    sim::System sys(cfg);
+    sim::System sys(sim::configFromOptions(options));
     sys.load(workload);
 
     bench::CpuTimer timer;
@@ -148,24 +151,17 @@ runScenario(const Scenario &sc, bool event_core, bool verify_ir = false,
     out.profiled = sys.profileCollector() != nullptr;
     out.verified = sys.tolRuntime().config().verifyIr;
     out.burst = sys.timingBurstEnabled();
+    out.pins = sim::measuredPins(sim::snapshotFromSystem(sys, out.result));
+    out.pins.timingCore.clear();
 
     if (workload.capturedPins) {
         // A replayed trace must reproduce the capture run's pinned
         // determinism fields on either timing core.
-        const trace::TracePins &pins = *workload.capturedPins;
-        fatal_if(out.result.guestRetired != pins.guestRetired ||
-                     out.result.cycles != pins.simCycles ||
-                     out.stats.records != pins.hostRecords,
-                 "trace replay diverged from capture pins on %s: "
-                 "guest %llu/%llu cycles %llu/%llu records %llu/%llu",
-                 sc.name,
-                 static_cast<unsigned long long>(
-                     out.result.guestRetired),
-                 static_cast<unsigned long long>(pins.guestRetired),
-                 static_cast<unsigned long long>(out.result.cycles),
-                 static_cast<unsigned long long>(pins.simCycles),
-                 static_cast<unsigned long long>(out.stats.records),
-                 static_cast<unsigned long long>(pins.hostRecords));
+        trace::TracePins pinned = *workload.capturedPins;
+        pinned.timingCore.clear();
+        const std::string diff = trace::diffPins(sc.name, out.pins, pinned);
+        fatal_if(!diff.empty(), "trace replay diverged:\n%s",
+                 diff.c_str());
     }
     return out;
 }
@@ -210,14 +206,8 @@ expectIdentical(const char *scenario, const RunOutcome &stepped,
     fatal_if(stepped.engine != timing::Pipeline::Engine::CycleStepped,
              "scenario %s: reference run used the event core",
              scenario);
-    fatal_if(stepped.result.guestRetired != event.result.guestRetired,
-             "A/B mismatch on %s: guest_retired %llu != %llu",
-             scenario,
-             static_cast<unsigned long long>(
-                 stepped.result.guestRetired),
-             static_cast<unsigned long long>(
-                 event.result.guestRetired));
     const std::string diff =
+        trace::diffPins("event core", event.pins, stepped.pins) +
         timing::diffStats(stepped.stats, event.stats);
     fatal_if(!diff.empty(),
              "event-driven core diverged from the reference core on "
@@ -390,24 +380,12 @@ main(int argc, char **argv)
                  "verify A/B wiring broken: verified run reports "
                  "verifyIr=%d, plain run %d",
                  verified.verified ? 1 : 0, plain.verified ? 1 : 0);
-        fatal_if(verified.result.guestRetired !=
-                         plain.result.guestRetired ||
-                     verified.result.cycles != plain.result.cycles ||
-                     verified.stats.records != plain.stats.records,
-                 "IR verification changed determinism fields on %s: "
-                 "guest %llu/%llu cycles %llu/%llu records %llu/%llu "
-                 "(the verifier must be a pure observer)",
-                 sc.name,
-                 static_cast<unsigned long long>(
-                     verified.result.guestRetired),
-                 static_cast<unsigned long long>(
-                     plain.result.guestRetired),
-                 static_cast<unsigned long long>(
-                     verified.result.cycles),
-                 static_cast<unsigned long long>(plain.result.cycles),
-                 static_cast<unsigned long long>(
-                     verified.stats.records),
-                 static_cast<unsigned long long>(plain.stats.records));
+        const std::string pin_diff =
+            trace::diffPins("verified", verified.pins, plain.pins);
+        fatal_if(!pin_diff.empty(),
+                 "IR verification changed determinism fields on %s "
+                 "(the verifier must be a pure observer):\n%s",
+                 sc.name, pin_diff.c_str());
         std::fprintf(stderr,
                      "  verify overhead %s: off=%.3fs on=%.3fs "
                      "(%.1f%%; determinism fields bit-identical)\n",
@@ -435,16 +413,8 @@ main(int argc, char **argv)
                  "burst A/B wiring broken: burst-on run reports "
                  "burst=%d, burst-off run %d",
                  with.burst ? 1 : 0, without.burst ? 1 : 0);
-        fatal_if(with.result.guestRetired !=
-                     without.result.guestRetired,
-                 "burst dispatch changed guest_retired on %s: "
-                 "%llu != %llu",
-                 sc.name,
-                 static_cast<unsigned long long>(
-                     with.result.guestRetired),
-                 static_cast<unsigned long long>(
-                     without.result.guestRetired));
         const std::string diff =
+            trace::diffPins("burst", with.pins, without.pins) +
             timing::diffStats(without.stats, with.stats);
         fatal_if(!diff.empty(),
                  "burst dispatch diverged from the plain event core "

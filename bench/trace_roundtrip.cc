@@ -8,9 +8,9 @@
  * through `source://trace/...`, and require the replay to be
  * bit-identical: SystemResult fields, every TOL activity counter
  * (tol::diffTolStats) and every timing-pipeline counter
- * (timing::diffStats) must match the live run exactly, and both runs
- * must match the pins recorded inside the trace. Exit 0 = identical,
- * 1 = divergence.
+ * (timing::diffStats) must match the live run exactly, and the
+ * replay must match every pin recorded inside the trace
+ * (trace::diffPins). Exit 0 = identical, 1 = divergence.
  */
 
 #include <cstdio>
@@ -54,64 +54,27 @@ roundTrip(const workloads::Workload &live_workload, uint64_t budget)
     const sim::RunSnapshot replay =
         sim::snapshotRun(replayed, sim::MetricsOptions{});
 
-    bool ok = true;
-    auto check_u64 = [&](const char *what, uint64_t a, uint64_t b) {
-        if (a != b) {
-            std::fprintf(stderr,
-                         "  MISMATCH %s.%s: live %llu != replay %llu\n",
-                         live_workload.name.c_str(), what,
-                         static_cast<unsigned long long>(a),
-                         static_cast<unsigned long long>(b));
-            ok = false;
-        }
-    };
-    check_u64("guest_retired", live.result.guestRetired,
-              replay.result.guestRetired);
-    check_u64("sim_cycles", live.result.cycles, replay.result.cycles);
-    check_u64("host_records", live.stats.records,
-              replay.stats.records);
-
-    const std::string pipe_diff =
-        timing::diffStats(live.stats, replay.stats);
-    if (!pipe_diff.empty()) {
-        std::fprintf(stderr, "  MISMATCH %s pipeline stats:\n%s",
-                     live_workload.name.c_str(), pipe_diff.c_str());
-        ok = false;
+    // Live against replay (pins, pipeline and TOL counters), then
+    // the replay against the pins recorded inside the trace file.
+    const trace::TracePins replay_pins = sim::measuredPins(replay);
+    const std::string diff =
+        trace::diffPins("live/replay", sim::measuredPins(live),
+                        replay_pins) +
+        timing::diffStats(live.stats, replay.stats) +
+        tol::diffTolStats(live.tolStats, replay.tolStats) +
+        trace::diffPins("replay", replay_pins, *replayed.capturedPins);
+    if (!diff.empty()) {
+        std::fprintf(stderr, "  MISMATCH %s:\n%s",
+                     live_workload.name.c_str(), diff.c_str());
+        return false;
     }
-    const std::string tol_diff =
-        tol::diffTolStats(live.tolStats, replay.tolStats);
-    if (!tol_diff.empty()) {
-        std::fprintf(stderr, "  MISMATCH %s TOL stats:\n%s",
-                     live_workload.name.c_str(), tol_diff.c_str());
-        ok = false;
-    }
-
-    // Both runs against the pins recorded inside the trace file.
-    const trace::TracePins &pins = *replayed.capturedPins;
-    check_u64("pins.guest_retired", pins.guestRetired,
-              replay.result.guestRetired);
-    check_u64("pins.sim_cycles", pins.simCycles, replay.result.cycles);
-    check_u64("pins.host_records", pins.hostRecords,
-              replay.stats.records);
-    check_u64("pins.dyn_im", pins.dynIm, replay.tolStats.dynIm);
-    check_u64("pins.dyn_bbm", pins.dynBbm, replay.tolStats.dynBbm);
-    check_u64("pins.dyn_sbm", pins.dynSbm, replay.tolStats.dynSbm);
-    check_u64("pins.sbs_created", pins.sbsCreated,
-              replay.tolStats.sbsCreated);
-
-    if (ok) {
-        std::fprintf(stderr,
-                     "  %-24s OK  guest=%llu cycles=%llu records=%llu\n",
-                     live_workload.name.c_str(),
-                     static_cast<unsigned long long>(
-                         replay.result.guestRetired),
-                     static_cast<unsigned long long>(
-                         replay.result.cycles),
-                     static_cast<unsigned long long>(
-                         replay.stats.records));
-        std::remove(trace_path.c_str());
-    }
-    return ok;
+    std::fprintf(stderr, "  %-24s OK  guest=%llu cycles=%llu records=%llu\n",
+                 live_workload.name.c_str(),
+                 static_cast<unsigned long long>(replay.result.guestRetired),
+                 static_cast<unsigned long long>(replay.result.cycles),
+                 static_cast<unsigned long long>(replay.stats.records));
+    std::remove(trace_path.c_str());
+    return true;
 }
 
 } // namespace

@@ -23,41 +23,22 @@ namespace darco::runner {
 
 namespace {
 
-/** Append a pin-mismatch line for every field that diverged. */
-void
-diffPins(const char *label, const trace::TracePins &pins,
-         const JobResult &r, std::string &error)
+/**
+ * Every pin mismatch of @p r against the workload's in-file pins
+ * (when the job checks them) and the job's expected pins.
+ */
+std::string
+pinMismatches(const BatchJob &job, const workloads::Workload &workload,
+              const JobResult &r)
 {
-    const tol::TolStats &ts = r.snapshot.tolStats;
-    auto check = [&](const char *what, uint64_t got, uint64_t want) {
-        if (got != want) {
-            error += strprintf(
-                "%s pin mismatch: %s %llu != pinned %llu\n", label,
-                what, static_cast<unsigned long long>(got),
-                static_cast<unsigned long long>(want));
-        }
-    };
-    check("guest_retired", r.snapshot.result.guestRetired,
-          pins.guestRetired);
-    check("sim_cycles", r.snapshot.result.cycles, pins.simCycles);
-    check("host_records", r.snapshot.stats.records, pins.hostRecords);
-    // timing_core is a determinism field too (check_perf.py): a
-    // replay that advanced time on a different core than the
-    // capture is not the same experiment, even if the counters
-    // happen to agree.
-    if (!pins.timingCore.empty() &&
-        r.snapshot.timingCore != pins.timingCore) {
-        error += strprintf(
-            "%s pin mismatch: timing_core %s != pinned %s\n", label,
-            r.snapshot.timingCore.c_str(), pins.timingCore.c_str());
-    }
-    check("dyn_im", ts.dynIm, pins.dynIm);
-    check("dyn_bbm", ts.dynBbm, pins.dynBbm);
-    check("dyn_sbm", ts.dynSbm, pins.dynSbm);
-    check("bbs_translated", ts.bbsTranslated, pins.bbsTranslated);
-    check("sbs_created", ts.sbsCreated, pins.sbsCreated);
-    check("guest_indirect_branches", ts.guestIndirectBranches,
-          pins.guestIndirectBranches);
+    const trace::TracePins measured = sim::measuredPins(r.snapshot);
+    std::string diff;
+    if (job.checkCapturedPins && workload.capturedPins)
+        diff += trace::diffPins("capture", measured,
+                                *workload.capturedPins);
+    if (job.expectedPins)
+        diff += trace::diffPins("expected", measured, *job.expectedPins);
+    return diff;
 }
 
 /** Per-batch execution services shared by every worker. */
@@ -266,10 +247,7 @@ executeAttempt(const BatchJob &job, const ExecContext &ctx)
             return r;
         }
 
-        if (job.checkCapturedPins && workload.capturedPins)
-            diffPins("capture", *workload.capturedPins, r, r.error);
-        if (job.expectedPins)
-            diffPins("expected", *job.expectedPins, r, r.error);
+        r.error += pinMismatches(job, workload, r);
         if (!r.error.empty()) {
             // A determinism violation on intact inputs is an engine
             // defect: permanent, never retried.
@@ -354,13 +332,8 @@ tryCacheHit(const BatchJob &job, ResultCache &cache,
         // Pins re-verified against the current workload resolution:
         // a trace whose in-file pins changed since the entry was
         // stored invalidates the cached result.
-        std::string pin_error;
-        if (job.checkCapturedPins && prep.workload.capturedPins) {
-            diffPins("capture", *prep.workload.capturedPins, r,
-                     pin_error);
-        }
-        if (job.expectedPins)
-            diffPins("expected", *job.expectedPins, r, pin_error);
+        const std::string pin_error =
+            pinMismatches(job, prep.workload, r);
         if (!pin_error.empty()) {
             warn("result cache: %s: cached result no longer matches "
                  "pins; re-simulating:\n%s",
@@ -461,11 +434,7 @@ fanOutResult(const BatchJob &job, const workloads::Workload &workload,
     r.deduped = true;
     r.attempts = 0;
 
-    std::string pin_error;
-    if (job.checkCapturedPins && workload.capturedPins)
-        diffPins("capture", *workload.capturedPins, r, pin_error);
-    if (job.expectedPins)
-        diffPins("expected", *job.expectedPins, r, pin_error);
+    const std::string pin_error = pinMismatches(job, workload, r);
     if (!pin_error.empty()) {
         r.error = pin_error;
         r.runError = {sim::RunErrorClass::Internal, r.uri, pin_error};

@@ -40,11 +40,8 @@ flagValue(const std::string &arg, const char *prefix)
                                             : nullptr;
 }
 
-/**
- * A decimal count in [0, max]. Digits only: strtoull alone would
- * accept leading blanks, a sign (wrapping "-1" to 2^64-1) and
- * trailing junk.
- */
+} // namespace
+
 uint64_t
 parseCount(const char *flag, const std::string &text, uint64_t max)
 {
@@ -60,8 +57,6 @@ parseCount(const char *flag, const std::string &text, uint64_t max)
              "%s value '%s' is out of range", flag, text.c_str());
     return v;
 }
-
-} // namespace
 
 std::vector<std::string>
 parseCampaignFlags(int argc, const char *const *argv, BatchConfig &config)

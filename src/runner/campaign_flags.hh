@@ -11,6 +11,7 @@
 #ifndef DARCO_RUNNER_CAMPAIGN_FLAGS_HH
 #define DARCO_RUNNER_CAMPAIGN_FLAGS_HH
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -33,6 +34,14 @@ extern const char *const kCampaignFlagsHelp;
 std::vector<std::string> parseCampaignFlags(int argc,
                                             const char *const *argv,
                                             BatchConfig &config);
+
+/**
+ * A decimal count in [0, max] for @p flag, else fatal(). Bare
+ * strtoull would take blanks, a sign ("-1" as 2^64-1) and trailing
+ * junk ("4M" as 4); a cast would wrap a too-wide value.
+ */
+uint64_t parseCount(const char *flag, const std::string &text,
+                    uint64_t max);
 
 /**
  * True when @p config asks for a feature only BatchRunner provides

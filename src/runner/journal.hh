@@ -35,12 +35,11 @@ namespace darco::runner {
 constexpr const char *kJournalEngineVersion = "darco-engine-4";
 
 /**
- * Hash the effective experiment definition: every MetricsOptions
- * field that influences the simulation (tolConfig, timingConfig,
- * guest budget, pipeline instance flags) plus the workload string
- * and the harness's halt requirement. Runtime wiring like the cancel
- * token is excluded. Canonical field-by-field text dump under the
- * hood — never raw struct bytes, whose padding is indeterminate.
+ * Hash the effective experiment definition: every field the
+ * MetricsOptions field list visits, recursively (common/fields.hh;
+ * runtime wiring is left out there), plus the workload string and
+ * the harness's halt requirement. Canonical field-by-field text
+ * dump — never raw struct bytes, whose padding is indeterminate.
  */
 uint64_t configFingerprint(const sim::MetricsOptions &effective,
                            const std::string &workload,

@@ -191,37 +191,6 @@ profileFromHex(const std::string &hex, profile::RunProfile &p)
     return pos == hex.size();
 }
 
-/** TolStats counters in serialization order (diffTolStats' set). */
-struct TolField
-{
-    const char *key;
-    uint64_t tol::TolStats::*member;
-};
-
-constexpr TolField kTolFields[] = {
-    {"dynIm", &tol::TolStats::dynIm},
-    {"dynBbm", &tol::TolStats::dynBbm},
-    {"dynSbm", &tol::TolStats::dynSbm},
-    {"bbsTranslated", &tol::TolStats::bbsTranslated},
-    {"sbsCreated", &tol::TolStats::sbsCreated},
-    {"guestInstsTranslatedBb", &tol::TolStats::guestInstsTranslatedBb},
-    {"guestInstsTranslatedSb", &tol::TolStats::guestInstsTranslatedSb},
-    {"hostInstsEmittedBb", &tol::TolStats::hostInstsEmittedBb},
-    {"hostInstsEmittedSb", &tol::TolStats::hostInstsEmittedSb},
-    {"dispatchLoops", &tol::TolStats::dispatchLoops},
-    {"mapLookups", &tol::TolStats::mapLookups},
-    {"mapHits", &tol::TolStats::mapHits},
-    {"chainsPatched", &tol::TolStats::chainsPatched},
-    {"entryForwards", &tol::TolStats::entryForwards},
-    {"ibtcMisses", &tol::TolStats::ibtcMisses},
-    {"ibtcFills", &tol::TolStats::ibtcFills},
-    {"promotions", &tol::TolStats::promotions},
-    {"codeCacheFlushes", &tol::TolStats::codeCacheFlushes},
-    {"contextFills", &tol::TolStats::contextFills},
-    {"contextSpills", &tol::TolStats::contextSpills},
-    {"guestIndirectBranches", &tol::TolStats::guestIndirectBranches},
-};
-
 /** Static mode map as sorted (eip, mode) pairs, 10 hex chars each. */
 std::string
 staticModesHex(const tol::TolStats &ts)
@@ -365,7 +334,7 @@ appendSnapshotFields(std::string &body, const sim::RunSnapshot &snap)
     }
     if (snap.profile)
         body += ",\"profile\":\"" + profileHex(*snap.profile) + "\"";
-    for (const TolField &f : kTolFields) {
+    for (const tol::TolField &f : tol::kTolFields) {
         body += strprintf(
             ",\"%s\":%llu", f.key,
             static_cast<unsigned long long>(snap.tolStats.*f.member));
@@ -413,7 +382,7 @@ parseSnapshotFields(const std::string &line, sim::RunSnapshot &snap)
             return false;
         snap.profile = std::move(rp);
     }
-    for (const TolField &f : kTolFields) {
+    for (const tol::TolField &f : tol::kTolFields) {
         const auto v = getU64(line, f.key);
         if (!v)
             return false;

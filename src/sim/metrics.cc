@@ -21,22 +21,6 @@ configFromOptions(const MetricsOptions &options)
     return cfg;
 }
 
-MetricsOptions
-optionsFromConfig(const SimConfig &cfg)
-{
-    MetricsOptions options;
-    options.tolConfig = cfg.tol;
-    options.timingConfig = cfg.timing;
-    options.guestBudget = cfg.guestBudget;
-    options.tolOnlyPipe = cfg.tolOnlyPipe;
-    options.appOnlyPipe = cfg.appOnlyPipe;
-    options.tolModulePipe = cfg.tolModulePipe;
-    options.profile = cfg.profile;
-    options.captureTracePath = cfg.captureTracePath;
-    options.cancel = cfg.cancel;
-    return options;
-}
-
 BenchMetrics
 runWorkload(const workloads::Workload &workload,
             const MetricsOptions &options)
@@ -68,6 +52,23 @@ snapshotFromSystem(const System &sys, const SystemResult &res)
         sys.timingEngine() == timing::Pipeline::Engine::EventDriven
             ? "event" : "reference";
     return snap;
+}
+
+trace::TracePins
+measuredPins(const RunSnapshot &snap)
+{
+    trace::TracePins pins;
+    pins.guestRetired = snap.result.guestRetired;
+    pins.simCycles = snap.result.cycles;
+    pins.hostRecords = snap.stats.records;
+    pins.timingCore = snap.timingCore;
+    pins.dynIm = snap.tolStats.dynIm;
+    pins.dynBbm = snap.tolStats.dynBbm;
+    pins.dynSbm = snap.tolStats.dynSbm;
+    pins.bbsTranslated = snap.tolStats.bbsTranslated;
+    pins.sbsCreated = snap.tolStats.sbsCreated;
+    pins.guestIndirectBranches = snap.tolStats.guestIndirectBranches;
+    return pins;
 }
 
 BenchMetrics
@@ -194,10 +195,10 @@ RunSnapshot
 snapshotRun(const workloads::Workload &workload,
             const MetricsOptions &options)
 {
-    SimConfig cfg = configFromOptions(options);
-    applyCaptureRecipe(cfg, workload);
+    MetricsOptions effective = options;
+    applyCaptureRecipe(effective, workload);
 
-    System sys(cfg);
+    System sys(configFromOptions(effective));
     sys.load(workload);
     const SystemResult res = sys.run();
     return snapshotFromSystem(sys, res);

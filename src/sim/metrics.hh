@@ -187,6 +187,30 @@ struct MetricsOptions
 };
 
 /**
+ * forEachField (common/fields.hh) over the members that define the
+ * experiment. captureTracePath and cancel are bound but not visited:
+ * where a capture lands and when a run stops never change its data.
+ */
+template <typename Options, typename F>
+    requires std::same_as<std::remove_const_t<Options>, MetricsOptions>
+void
+forEachField(Options &options, F &&f)
+{
+    auto &[guestBudget, tolOnlyPipe, appOnlyPipe, tolModulePipe,
+           profile, tolConfig, timingConfig, captureTracePath,
+           cancel] = options;
+    f("guestBudget", guestBudget);
+    f("tolOnlyPipe", tolOnlyPipe);
+    f("appOnlyPipe", appOnlyPipe);
+    f("tolModulePipe", tolModulePipe);
+    f("profile", profile);
+    f("tolConfig", tolConfig);
+    f("timingConfig", timingConfig);
+    (void)captureTracePath;
+    (void)cancel;
+}
+
+/**
  * Budget-scaled BB->SB promotion threshold.
  *
  * The paper simulates 4B guest instructions with BB/SBth = 10000.
@@ -215,22 +239,11 @@ scaledSbThreshold(uint64_t guest_budget)
  * functional execution bit-identically; no-op for workloads that
  * did not come from a trace. The single point of truth for which
  * TraceMeta fields constitute the recipe — every harness goes
- * through one of these two overloads, so a recipe field added in a
- * future trace minor version is applied everywhere at once. The
- * host microarchitecture is deliberately untouched: traces exist to
+ * through it, so a recipe field added in a future trace minor
+ * version is applied everywhere at once. The host
+ * microarchitecture is deliberately untouched: traces exist to
  * compare one workload across timing configs (docs/traces.md §4).
  */
-inline void
-applyCaptureRecipe(SimConfig &cfg,
-                   const workloads::Workload &workload)
-{
-    if (!workload.capturedMeta)
-        return;
-    cfg.guestBudget = workload.capturedMeta->guestBudget;
-    cfg.tol.imToBbThreshold = workload.capturedMeta->imToBbThreshold;
-    cfg.tol.bbToSbThreshold = workload.capturedMeta->bbToSbThreshold;
-}
-
 inline void
 applyCaptureRecipe(MetricsOptions &options,
                    const workloads::Workload &workload)
@@ -251,17 +264,6 @@ applyCaptureRecipe(MetricsOptions &options,
  * bit-identical Systems from the same options).
  */
 SimConfig configFromOptions(const MetricsOptions &options);
-
-/**
- * The inverse translation, for drivers that parse into a SimConfig
- * but execute through the options-based batch path. Kept next to
- * configFromOptions so a field added to one cannot be forgotten in
- * the other: optionsFromConfig(configFromOptions(o)) == o for every
- * MetricsOptions field, and configFromOptions(optionsFromConfig(c))
- * == c for every field except cosim/cosimStrict (batch execution
- * never co-simulates).
- */
-MetricsOptions optionsFromConfig(const SimConfig &cfg);
 
 /**
  * Run one resolved workload — whatever source it came from — and
@@ -303,6 +305,10 @@ struct RunSnapshot
 /** Snapshot everything a finished System run measured. */
 RunSnapshot snapshotFromSystem(const System &sys,
                                const SystemResult &res);
+
+/** The pins a run measured: the one run -> trace::TracePins mapping,
+ *  shared by capture and every trace::diffPins check. */
+trace::TracePins measuredPins(const RunSnapshot &snap);
 
 /**
  * Derive the full figure-metrics record from a run snapshot. A pure

@@ -1,6 +1,7 @@
 #include "sim/system.hh"
 
 #include "common/logging.hh"
+#include "sim/metrics.hh"
 
 namespace darco::sim {
 
@@ -83,21 +84,7 @@ System::loadIdentified(const guest::Program &program,
 void
 System::writeCapturedTrace(const SystemResult &result)
 {
-    const timing::PipeStats &ps = combined->stats();
-    const tol::TolStats &ts = runtime->stats();
-    trace::TracePins &pins = capture->pins;
-    pins.guestRetired = result.guestRetired;
-    pins.simCycles = result.cycles;
-    pins.hostRecords = ps.records;
-    pins.timingCore =
-        combined->engine() == timing::Pipeline::Engine::EventDriven
-            ? "event" : "reference";
-    pins.dynIm = ts.dynIm;
-    pins.dynBbm = ts.dynBbm;
-    pins.dynSbm = ts.dynSbm;
-    pins.bbsTranslated = ts.bbsTranslated;
-    pins.sbsCreated = ts.sbsCreated;
-    pins.guestIndirectBranches = ts.guestIndirectBranches;
+    capture->pins = measuredPins(snapshotFromSystem(*this, result));
     capture->hasPins = true;
     trace::writeTrace(cfg.captureTracePath, *capture);
 }

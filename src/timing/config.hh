@@ -13,6 +13,8 @@
 #include <cstdint>
 #include <numeric>
 
+#include "common/fields.hh"
+
 namespace darco::timing {
 
 /**
@@ -57,6 +59,10 @@ struct CacheGeometry
      */
     bool trueLru = false;
 };
+
+/** forEachField over every CacheGeometry member (common/fields.hh). */
+DARCO_FIELD_LIST(CacheGeometry, sizeBytes, lineBytes, ways, hitLatency,
+                 trueLru)
 
 /** Host microarchitecture parameters (Table I + DESIGN.md §4.5). */
 struct TimingConfig
@@ -122,6 +128,15 @@ struct TimingConfig
     uint32_t fpSimpleLatency = 2;
     uint32_t fpComplexLatency = 5;
 };
+
+/** forEachField over every TimingConfig member (common/fields.hh). */
+DARCO_FIELD_LIST(TimingConfig, issueWidth, iqSize, eventCore, burst,
+                 bpHistoryBits, btbEntries, btbWays, mispredictPenalty, l1i,
+                 l1d, l2, memLatency, prefetcherEntries, prefetcherEnabled,
+                 tlbL1Entries, tlbL1Ways, tlbL1Latency, tlbL2Entries,
+                 tlbL2Ways, tlbL2Latency, tlbWalkLatency, pageBits,
+                 intSimpleLatency, intComplexLatency, fpSimpleLatency,
+                 fpComplexLatency)
 
 } // namespace darco::timing
 

@@ -12,6 +12,8 @@
 
 #include <cstdint>
 
+#include "common/fields.hh"
+
 namespace darco::tol {
 
 struct TolConfig
@@ -94,6 +96,17 @@ struct TolConfig
     uint32_t chainPatchAlus = 4;
     uint32_t ibtcFillAlus = 3;
 };
+
+/** forEachField over every TolConfig member (common/fields.hh). */
+DARCO_FIELD_LIST(TolConfig, imToBbThreshold, bbToSbThreshold, maxBbGuestInsts,
+                 maxSbGuestInsts, sbBranchBias, sbMinEdgeSamples,
+                 sbFollowCalls, enableChaining, enableIbtc, enableBbmOpts,
+                 enableSbmOpts, enableScheduling, verifyIr, ibtcEntries,
+                 ibtcWays, transMapBuckets, codeCacheBytes, sbPartitionPercent,
+                 imDecodeAlus, imDispatchOverheadAlus, bbmDecodeAlus,
+                 bbmIrGenAlusPerInst, passVisitAlus, cseHashAlus,
+                 regallocAlusPerInterval, schedAlusPerEdge, emitAlusPerInst,
+                 lookupHashAlus, chainPatchAlus, ibtcFillAlus)
 
 } // namespace darco::tol
 

@@ -117,6 +117,39 @@ struct TolStats
     }
 };
 
+/** One TolStats counter: its name and where TolStats keeps it. */
+struct TolField
+{
+    const char *key;
+    uint64_t TolStats::*member;
+};
+
+/** Every TolStats counter in the result cache's serialization order:
+ *  the one list diffTolStats and runner/snapshot_codec.cc walk. */
+constexpr TolField kTolFields[] = {
+    {"dynIm", &TolStats::dynIm},
+    {"dynBbm", &TolStats::dynBbm},
+    {"dynSbm", &TolStats::dynSbm},
+    {"bbsTranslated", &TolStats::bbsTranslated},
+    {"sbsCreated", &TolStats::sbsCreated},
+    {"guestInstsTranslatedBb", &TolStats::guestInstsTranslatedBb},
+    {"guestInstsTranslatedSb", &TolStats::guestInstsTranslatedSb},
+    {"hostInstsEmittedBb", &TolStats::hostInstsEmittedBb},
+    {"hostInstsEmittedSb", &TolStats::hostInstsEmittedSb},
+    {"dispatchLoops", &TolStats::dispatchLoops},
+    {"mapLookups", &TolStats::mapLookups},
+    {"mapHits", &TolStats::mapHits},
+    {"chainsPatched", &TolStats::chainsPatched},
+    {"entryForwards", &TolStats::entryForwards},
+    {"ibtcMisses", &TolStats::ibtcMisses},
+    {"ibtcFills", &TolStats::ibtcFills},
+    {"promotions", &TolStats::promotions},
+    {"codeCacheFlushes", &TolStats::codeCacheFlushes},
+    {"contextFills", &TolStats::contextFills},
+    {"contextSpills", &TolStats::contextSpills},
+    {"guestIndirectBranches", &TolStats::guestIndirectBranches},
+};
+
 /**
  * Exact comparison of every TOL activity counter two runs produced
  * (including the per-mode static map), mirroring timing::diffStats:
@@ -139,33 +172,8 @@ diffTolStats(const TolStats &a, const TolStats &b)
             diff += line;
         }
     };
-    mismatch("dynIm", a.dynIm, b.dynIm);
-    mismatch("dynBbm", a.dynBbm, b.dynBbm);
-    mismatch("dynSbm", a.dynSbm, b.dynSbm);
-    mismatch("bbsTranslated", a.bbsTranslated, b.bbsTranslated);
-    mismatch("sbsCreated", a.sbsCreated, b.sbsCreated);
-    mismatch("guestInstsTranslatedBb", a.guestInstsTranslatedBb,
-             b.guestInstsTranslatedBb);
-    mismatch("guestInstsTranslatedSb", a.guestInstsTranslatedSb,
-             b.guestInstsTranslatedSb);
-    mismatch("hostInstsEmittedBb", a.hostInstsEmittedBb,
-             b.hostInstsEmittedBb);
-    mismatch("hostInstsEmittedSb", a.hostInstsEmittedSb,
-             b.hostInstsEmittedSb);
-    mismatch("dispatchLoops", a.dispatchLoops, b.dispatchLoops);
-    mismatch("mapLookups", a.mapLookups, b.mapLookups);
-    mismatch("mapHits", a.mapHits, b.mapHits);
-    mismatch("chainsPatched", a.chainsPatched, b.chainsPatched);
-    mismatch("entryForwards", a.entryForwards, b.entryForwards);
-    mismatch("ibtcMisses", a.ibtcMisses, b.ibtcMisses);
-    mismatch("ibtcFills", a.ibtcFills, b.ibtcFills);
-    mismatch("promotions", a.promotions, b.promotions);
-    mismatch("codeCacheFlushes", a.codeCacheFlushes,
-             b.codeCacheFlushes);
-    mismatch("contextFills", a.contextFills, b.contextFills);
-    mismatch("contextSpills", a.contextSpills, b.contextSpills);
-    mismatch("guestIndirectBranches", a.guestIndirectBranches,
-             b.guestIndirectBranches);
+    for (const TolField &f : kTolFields)
+        mismatch(f.key, a.*f.member, b.*f.member);
     uint64_t a_im, a_bbm, a_sbm, b_im, b_bbm, b_sbm;
     a.staticCounts(a_im, a_bbm, a_sbm);
     b.staticCounts(b_im, b_bbm, b_sbm);

@@ -136,16 +136,12 @@ parseProgram(ByteReader &r, guest::Program &prog)
 void
 parsePins(ByteReader &r, TracePins &pins)
 {
-    pins.guestRetired = r.u64();
-    pins.simCycles = r.u64();
-    pins.hostRecords = r.u64();
-    pins.timingCore = r.str();
-    pins.dynIm = r.u64();
-    pins.dynBbm = r.u64();
-    pins.dynSbm = r.u64();
-    pins.bbsTranslated = r.u64();
-    pins.sbsCreated = r.u64();
-    pins.guestIndirectBranches = r.u64();
+    for (const PinField &f : kPinFields) {
+        if (f.counter)
+            pins.*f.counter = r.u64();
+        else
+            pins.timingCore = r.str();
+    }
 }
 
 std::vector<uint8_t>
@@ -177,6 +173,24 @@ slurp(const std::string &path, std::string &error)
 }
 
 } // namespace
+
+std::string
+diffPins(const char *label, const TracePins &measured,
+         const TracePins &pinned)
+{
+    std::string diff;
+    for (const PinField &f : kPinFields) {
+        const auto text = [&f](const TracePins &p) {
+            return f.counter ? std::to_string(p.*f.counter) : p.timingCore;
+        };
+        const std::string got = text(measured), want = text(pinned);
+        if (got != want && !want.empty()) {
+            diff += strprintf("%s pin mismatch: %s %s != pinned %s\n",
+                              label, f.key, got.c_str(), want.c_str());
+        }
+    }
+    return diff;
+}
 
 ReadResult
 readTrace(const std::string &path)

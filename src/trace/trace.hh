@@ -94,6 +94,38 @@ struct TracePins
     uint64_t guestIndirectBranches = 0;
 };
 
+/** One PINS field; timing_core, the one string pin, has no counter. */
+struct PinField
+{
+    const char *key;
+    uint64_t TracePins::*counter;
+};
+
+/** The PINS section in byte order; writer, reader and diffPins
+ *  walk this one list. */
+constexpr PinField kPinFields[] = {
+    {"guest_retired", &TracePins::guestRetired},
+    {"sim_cycles", &TracePins::simCycles},
+    {"host_records", &TracePins::hostRecords},
+    {"timing_core", nullptr},
+    {"dyn_im", &TracePins::dynIm},
+    {"dyn_bbm", &TracePins::dynBbm},
+    {"dyn_sbm", &TracePins::dynSbm},
+    {"bbs_translated", &TracePins::bbsTranslated},
+    {"sbs_created", &TracePins::sbsCreated},
+    {"guest_indirect_branches", &TracePins::guestIndirectBranches},
+};
+
+/**
+ * One "<label> pin mismatch: ..." line per field where @p measured
+ * (sim::measuredPins) differs from @p pinned; empty when all match.
+ * A pinned timing_core is compared (a replay on another core is not
+ * the same experiment, even when the counters agree); an empty one
+ * is not.
+ */
+std::string diffPins(const char *label, const TracePins &measured,
+                     const TracePins &pinned);
+
 /** A parsed trace: program image + recipe + optional pins. */
 struct TraceFile
 {

@@ -132,17 +132,12 @@ writeTrace(const std::string &path, const TraceFile &file)
 
     if (file.hasPins) {
         out.section(kSectionPins, [&](ByteWriter &w) {
-            const TracePins &pins = file.pins;
-            w.u64(pins.guestRetired);
-            w.u64(pins.simCycles);
-            w.u64(pins.hostRecords);
-            w.str(pins.timingCore);
-            w.u64(pins.dynIm);
-            w.u64(pins.dynBbm);
-            w.u64(pins.dynSbm);
-            w.u64(pins.bbsTranslated);
-            w.u64(pins.sbsCreated);
-            w.u64(pins.guestIndirectBranches);
+            for (const PinField &f : kPinFields) {
+                if (f.counter)
+                    w.u64(file.pins.*f.counter);
+                else
+                    w.str(file.pins.timingCore);
+            }
         });
     }
 

@@ -45,7 +45,7 @@ struct Workload
     /**
      * Capture-time run recipe, present when sourced from a trace.
      * Harnesses that want bit-identical replay apply it (budget +
-     * promotion thresholds); see bench_util.hh applyCaptureRecipe().
+     * promotion thresholds); see sim::applyCaptureRecipe().
      */
     std::optional<trace::TraceMeta> capturedMeta;
     /** Capture run's determinism pins, when the trace carried them. */

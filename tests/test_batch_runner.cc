@@ -13,6 +13,7 @@
 #include <atomic>
 #include <cstdio>
 #include <iterator>
+#include <limits>
 #include <thread>
 
 #include "common/logging.hh"
@@ -473,6 +474,40 @@ TEST(CampaignFlags, RejectsEachBadInput)
         ScopedFatalThrow fatal_throws;
         EXPECT_THROW(parseFlags(args, config), FatalError);
     }
+
+    // The counts the tools parse themselves go through the same
+    // checked parser: --budget=/DARCO_BUDGET (bench_util.hh,
+    // run_benchmark) and run_benchmark's --sb-threshold=, bounded
+    // to the 32-bit TolConfig field.
+    constexpr uint64_t kU64 = std::numeric_limits<uint64_t>::max();
+    constexpr uint64_t kU32 = std::numeric_limits<uint32_t>::max();
+    const struct
+    {
+        const char *flag;
+        const char *text;
+        uint64_t max;
+    } bad_counts[] = {
+        // Used to run 4 guest instructions.
+        {"--budget", "4M", kU64},
+        {"--budget", "", kU64},
+        {"--budget", "-1", kU64},
+        {"--budget", "99999999999999999999", kU64},
+        {"DARCO_BUDGET", " 5", kU64},
+        {"DARCO_BUDGET", "1e6", kU64},
+        // Used to wrap silently to 5.
+        {"--sb-threshold", "4294967301", kU32},
+        {"--sb-threshold", "300x", kU32},
+    };
+    for (const auto &c : bad_counts) {
+        SCOPED_TRACE(std::string(c.flag) + "=" + c.text);
+        ScopedFatalThrow fatal_throws;
+        EXPECT_THROW(runner::parseCount(c.flag, c.text, c.max),
+                     FatalError);
+    }
+    EXPECT_EQ(runner::parseCount("--sb-threshold", "4294967295", kU32),
+              kU32);
+    EXPECT_EQ(runner::parseCount("--budget", "4000000", kU64),
+              4'000'000u);
 }
 
 // ---------------------------------------------------------------------

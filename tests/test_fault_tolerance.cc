@@ -25,7 +25,10 @@
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
+#include <set>
 #include <string>
+#include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "common/faultinject.hh"
@@ -48,6 +51,42 @@ using namespace darco::testutil;
 namespace g = darco::guest;
 
 namespace {
+
+/**
+ * Call f(path, leaf) for every scalar under @p v, depth first through
+ * the field lists (common/fields.hh); path names the leaf as
+ * "timingConfig.l1d.ways".
+ */
+template <typename T, typename F>
+void
+forEachLeaf(T &v, const std::string &path, F &&f)
+{
+    if constexpr (requires {
+                      forEachField(v, [](std::string_view, auto &) {});
+                  }) {
+        forEachField(v, [&](std::string_view name, auto &member) {
+            const std::string child = path.empty()
+                ? std::string(name)
+                : path + "." + std::string(name);
+            forEachLeaf(member, child, f);
+        });
+    } else {
+        f(path, v);
+    }
+}
+
+/** Change one leaf: flip a bool, nudge a double, add 1 otherwise. */
+template <typename T>
+void
+perturb(T &leaf)
+{
+    if constexpr (std::is_same_v<T, bool>)
+        leaf = !leaf;
+    else if constexpr (std::is_floating_point_v<T>)
+        leaf += 0.125;
+    else
+        leaf += 1;
+}
 
 /** Disarm every injection point on entry and exit, so a failing
  *  EXPECT cannot leak an armed point into the next test. */
@@ -486,24 +525,54 @@ TEST(Watchdog, NormalJobsUnaffectedByEnabledWatchdog)
 
 TEST(Journal, FingerprintKeysTheEffectiveExperiment)
 {
+    // Per-field coverage is generated from the field lists
+    // (EveryConfigLeafKeysTheFingerprint); here, the two inputs
+    // that live outside MetricsOptions.
     const sim::MetricsOptions base = smallOptions(50'000);
     const uint64_t fp = runner::configFingerprint(base, "w", false);
     EXPECT_EQ(runner::configFingerprint(base, "w", false), fp);
-
-    sim::MetricsOptions budget = base;
-    budget.guestBudget = 50'001;
-    EXPECT_NE(runner::configFingerprint(budget, "w", false), fp);
-
-    sim::MetricsOptions geometry = base;
-    geometry.timingConfig.l1d.sizeBytes *= 2;
-    EXPECT_NE(runner::configFingerprint(geometry, "w", false), fp);
-
     EXPECT_NE(runner::configFingerprint(base, "w2", false), fp);
     EXPECT_NE(runner::configFingerprint(base, "w", true), fp);
+}
 
-    // The cancel token is runtime wiring, not experiment identity.
+TEST(Journal, EveryConfigLeafKeysTheFingerprint)
+{
+    // Walk the field lists down to every scalar of a default
+    // MetricsOptions (run-level flags, each TolConfig and
+    // TimingConfig member, each CacheGeometry member) and perturb
+    // one leaf at a time: every perturbation must move the
+    // fingerprint, and no two may collide.
+    const sim::MetricsOptions base;
+    const uint64_t fp = runner::configFingerprint(base, "w", false);
+    std::vector<std::string> names;
+    sim::MetricsOptions probe;
+    forEachLeaf(probe, "", [&](const std::string &name, auto &) {
+        names.push_back(name);
+    });
+    // 5 run-level flags + 30 TolConfig + 23 TimingConfig scalars +
+    // 3 caches x 5 geometry members, at the time of writing.
+    EXPECT_GE(names.size(), 73u);
+
+    std::set<uint64_t> seen{fp};
+    for (size_t i = 0; i < names.size(); ++i) {
+        SCOPED_TRACE(names[i]);
+        sim::MetricsOptions changed = base;
+        size_t at = 0;
+        forEachLeaf(changed, "", [&](const std::string &, auto &leaf) {
+            if (at++ == i)
+                perturb(leaf);
+        });
+        const uint64_t moved =
+            runner::configFingerprint(changed, "w", false);
+        EXPECT_NE(moved, fp);
+        EXPECT_TRUE(seen.insert(moved).second);
+    }
+
+    // Runtime wiring is not experiment identity: where a capture
+    // lands and the cancel token leave the fingerprint alone.
     common::CancelToken token;
     sim::MetricsOptions wired = base;
+    wired.captureTracePath = "elsewhere.dtrc";
     wired.cancel = &token;
     EXPECT_EQ(runner::configFingerprint(wired, "w", false), fp);
 }

@@ -546,13 +546,12 @@ TEST(ProfilePlumbing, DiffProfilesLocalizesMismatches)
     EXPECT_NE(diff4.find("distance 42"), std::string::npos) << diff4;
 }
 
-TEST(ProfilePlumbing, OptionsConfigRoundTripCarriesProfile)
+TEST(ProfilePlumbing, OptionsToConfigCarriesProfile)
 {
     sim::MetricsOptions options;
     options.profile = true;
     const sim::SimConfig cfg = sim::configFromOptions(options);
     EXPECT_TRUE(cfg.profile);
-    EXPECT_TRUE(sim::optionsFromConfig(cfg).profile);
     // And the fingerprint distinguishes profiled from unprofiled
     // experiments (a cache entry from one must not satisfy the
     // other).

@@ -292,33 +292,13 @@ TEST(Invalidation, AnyOptionsChangeMisses)
     config.cacheDir = dir;
     ASSERT_TRUE(runBatch(jobs, config)[0].ok);
 
-    // The fingerprint folds in every effective MetricsOptions field:
-    // spot-check several very different knobs.
+    // Every MetricsOptions field keys the fingerprint (generated
+    // per-leaf check: Journal.EveryConfigLeafKeysTheFingerprint);
+    // requireHalt is part of the experiment definition too.
     const std::string &wl = jobs[0].workload;
     const sim::MetricsOptions base = smallOptions(40'000);
     const uint64_t fp =
         runner::configFingerprint(base, wl, false);
-    {
-        sim::MetricsOptions o = base;
-        o.guestBudget = 50'000;
-        EXPECT_NE(runner::configFingerprint(o, wl, false), fp);
-    }
-    {
-        sim::MetricsOptions o = base;
-        o.profile = true;
-        EXPECT_NE(runner::configFingerprint(o, wl, false), fp);
-    }
-    {
-        sim::MetricsOptions o = base;
-        o.timingConfig.issueWidth += 1;
-        EXPECT_NE(runner::configFingerprint(o, wl, false), fp);
-    }
-    {
-        sim::MetricsOptions o = base;
-        o.tolConfig.enableIbtc = !o.tolConfig.enableIbtc;
-        EXPECT_NE(runner::configFingerprint(o, wl, false), fp);
-    }
-    // requireHalt is part of the experiment definition too.
     EXPECT_NE(runner::configFingerprint(base, wl, true), fp);
 
     // End to end: the changed-budget campaign misses.

@@ -301,6 +301,26 @@ TEST(CodeStore, RejectsWhenFullAndFlushRecovers)
     EXPECT_EQ(store.generation(), 1u);
 }
 
+TEST(TolStatsDiff, NamesEveryCounterInTheTable)
+{
+    // Generated from kTolFields: bumping any one counter must make
+    // diffTolStats report exactly that counter.
+    const tol::TolStats base;
+    EXPECT_EQ(tol::diffTolStats(base, base), "");
+    for (const tol::TolField &f : tol::kTolFields) {
+        SCOPED_TRACE(f.key);
+        tol::TolStats bumped;
+        bumped.*f.member += 1;
+        EXPECT_EQ(tol::diffTolStats(base, bumped),
+                  std::string("  ") + f.key + ": 0 != 1\n");
+    }
+    // The static mode map is compared beside the table.
+    tol::TolStats promoted;
+    promoted.noteStatic(0x1000, tol::Mode::SBM);
+    EXPECT_EQ(tol::diffTolStats(base, promoted),
+              "  staticSbm: 0 != 1\n");
+}
+
 // ----- runtime-level behaviours -------------------------------------------
 
 namespace {

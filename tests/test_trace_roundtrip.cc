@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 
@@ -160,6 +161,34 @@ TEST(TraceFormat, PinsAreOptional)
     const trace::ReadResult result = trace::readTrace(path);
     ASSERT_TRUE(result.ok()) << result.error;
     EXPECT_FALSE(result.file.hasPins);
+}
+
+TEST(TraceFormat, DiffPinsNamesEveryPin)
+{
+    // Generated from kPinFields: diverging on any one pin must make
+    // diffPins report exactly that pin.
+    const trace::TracePins pinned = sampleFile().pins;
+    EXPECT_EQ(trace::diffPins("capture", pinned, pinned), "");
+    for (const trace::PinField &f : trace::kPinFields) {
+        SCOPED_TRACE(f.key);
+        trace::TracePins measured = pinned;
+        if (f.counter)
+            measured.*f.counter += 1;
+        else
+            measured.timingCore = "reference";
+        const std::string diff =
+            trace::diffPins("capture", measured, pinned);
+        EXPECT_EQ(diff.rfind(std::string("capture pin mismatch: ") +
+                                 f.key + " ",
+                             0),
+                  0u)
+            << diff;
+        EXPECT_EQ(std::count(diff.begin(), diff.end(), '\n'), 1);
+    }
+    // An unpinned timing core is not compared.
+    trace::TracePins unpinned = pinned;
+    unpinned.timingCore.clear();
+    EXPECT_EQ(trace::diffPins("capture", pinned, unpinned), "");
 }
 
 TEST(TraceFormat, RejectsBadMagic)
