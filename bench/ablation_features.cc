@@ -14,27 +14,26 @@ using bench::BenchArgs;
 
 namespace {
 
+using Opts = sim::MetricsOptions;
+
 struct Variant
 {
     const char *name;
-    void (*apply)(tol::TolConfig &);
+    void (*apply)(Opts &);
 };
 
 const Variant kVariants[] = {
-    {"baseline", [](tol::TolConfig &) {}},
-    {"no chaining",
-     [](tol::TolConfig &cfg) { cfg.enableChaining = false; }},
-    {"no IBTC", [](tol::TolConfig &cfg) { cfg.enableIbtc = false; }},
-    {"no BBM opts",
-     [](tol::TolConfig &cfg) { cfg.enableBbmOpts = false; }},
-    {"no SBM opts",
-     [](tol::TolConfig &cfg) { cfg.enableSbmOpts = false; }},
-    {"no scheduling",
-     [](tol::TolConfig &cfg) { cfg.enableScheduling = false; }},
-    {"2-way IBTC", [](tol::TolConfig &cfg) { cfg.ibtcWays = 2; }},
+    {"baseline", [](Opts &) {}},
+    {"no chaining", [](Opts &o) { o.tolConfig.enableChaining = false; }},
+    {"no IBTC", [](Opts &o) { o.tolConfig.enableIbtc = false; }},
+    {"no BBM opts", [](Opts &o) { o.tolConfig.enableBbmOpts = false; }},
+    {"no SBM opts", [](Opts &o) { o.tolConfig.enableSbmOpts = false; }},
+    {"no scheduling", [](Opts &o) { o.tolConfig.enableScheduling = false; }},
+    {"2-way IBTC", [](Opts &o) { o.tolConfig.ibtcWays = 2; }},
     {"SB code partition",
-     [](tol::TolConfig &cfg) { cfg.sbPartitionPercent = 50; }},
-    {"no prefetcher", [](tol::TolConfig &) {}},  // timing-side toggle
+     [](Opts &o) { o.tolConfig.sbPartitionPercent = 50; }},
+    {"no prefetcher",
+     [](Opts &o) { o.timingConfig.prefetcherEnabled = false; }},
 };
 
 const char *kBenchmarks[] = {
@@ -49,41 +48,48 @@ main(int argc, char **argv)
 {
     BenchArgs args = BenchArgs::parse(argc, argv);
     if (args.budget > 2'000'000)
-        args.budget = 2'000'000;  // 7 variants x 6 benchmarks
+        args.budget = 2'000'000;  // 9 variants x 6 benchmarks
+
+    // The grid in table order: per benchmark, the baseline first.
+    std::vector<runner::BatchJob> jobs;
+    for (const char *name : kBenchmarks) {
+        for (const Variant &variant : kVariants) {
+            runner::BatchJob job;
+            job.workload = workloads::syntheticUri(name);
+            job.options = bench::makeMetricsOptions(args);
+            variant.apply(job.options);
+            jobs.push_back(std::move(job));
+        }
+    }
+    const std::vector<runner::JobResult> results =
+        bench::runJobs(args, jobs);
 
     std::printf("=== Feature ablation (cycles, relative to baseline) "
                 "===\n");
     Table t({"benchmark", "variant", "cycles", "vs baseline",
              "overhead%"});
-
-    for (const char *name : kBenchmarks) {
-        const workloads::Workload workload =
-            workloads::resolveWorkload(workloads::syntheticUri(name));
-
-        uint64_t baseline_cycles = 0;
-        for (const Variant &variant : kVariants) {
-            sim::MetricsOptions options =
-                bench::makeMetricsOptions(args);
-            variant.apply(options.tolConfig);
-            if (std::string(variant.name) == "no prefetcher")
-                options.timingConfig.prefetcherEnabled = false;
-
-            std::fprintf(stderr, "  %s / %s\n", name, variant.name);
-            const sim::BenchMetrics m =
-                sim::runWorkload(workload, options);
-            if (std::string(variant.name) == "baseline")
-                baseline_cycles = m.cycles;
-
-            t.beginRow();
-            t.add(name);
-            t.add(variant.name);
-            t.addf("%llu", static_cast<unsigned long long>(m.cycles));
+    const size_t per_benchmark = std::size(kVariants);
+    for (size_t i = 0; i < results.size(); ++i) {
+        const runner::JobResult &r = results[i];
+        if (r.skipped)
+            continue;
+        // Under --shard the baseline may belong to another shard.
+        const runner::JobResult &base =
+            results[i - i % per_benchmark];
+        t.beginRow();
+        t.add(kBenchmarks[i / per_benchmark]);
+        t.add(kVariants[i % per_benchmark].name);
+        t.addf("%llu",
+               static_cast<unsigned long long>(r.metrics.cycles));
+        if (base.skipped) {
+            t.add("-");
+        } else {
             t.addf("%+.1f%%",
-                   100.0 * (static_cast<double>(m.cycles) /
-                                static_cast<double>(baseline_cycles) -
+                   100.0 * (static_cast<double>(r.metrics.cycles) /
+                                static_cast<double>(base.metrics.cycles) -
                             1.0));
-            t.addf("%.1f", 100.0 * m.tolOverheadFrac());
         }
+        t.addf("%.1f", 100.0 * r.metrics.tolOverheadFrac());
     }
     bench::renderTable(t, args);
     return 0;

@@ -35,26 +35,33 @@ struct BenchArgs
     bool csv = false;
     /**
      * Campaign flags (runner/campaign_flags.hh): --jobs worker
-     * threads (0, the default, = one per hardware thread; 1 = the
-     * serial reference path; results are bit-identical at any
-     * value, tests/test_batch_runner.cc), the per-job watchdog and
-     * retries (docs/robustness.md), the job-index shard, the result
-     * cache and verify-hits (docs/campaigns.md). All but --jobs are
-     * off by default — and they MUST stay off for committed perf
-     * baselines (bench/check_perf.py).
+     * threads (0, the default, = one per hardware thread; results
+     * are bit-identical at any value, tests/test_batch_runner.cc),
+     * the per-job watchdog and retries (docs/robustness.md), the
+     * job-index shard, the result cache and verify-hits
+     * (docs/campaigns.md). All but --jobs are off by default.
      */
     runner::BatchConfig campaign;
 
+    /**
+     * Parse the shared bench arguments. Benches that run through
+     * runJobs pass @p campaign_flags = true and accept the campaign
+     * flags; the others reject them as unknown arguments rather than
+     * silently ignoring a flag they cannot honour.
+     */
     static BenchArgs
-    parse(int argc, char **argv)
+    parse(int argc, char **argv, bool campaign_flags = true)
     {
         BenchArgs args;
         constexpr uint64_t kMaxBudget =
             std::numeric_limits<uint64_t>::max();
         if (const char *env = std::getenv("DARCO_BUDGET"))
             args.budget = runner::parseCount("DARCO_BUDGET", env, kMaxBudget);
-        for (const std::string &arg :
-             runner::parseCampaignFlags(argc, argv, args.campaign)) {
+        const std::vector<std::string> rest =
+            campaign_flags
+                ? runner::parseCampaignFlags(argc, argv, args.campaign)
+                : std::vector<std::string>(argv + 1, argv + argc);
+        for (const std::string &arg : rest) {
             auto value = [&](const char *prefix) -> const char * {
                 const size_t len = std::strlen(prefix);
                 if (arg.rfind(prefix, 0) == 0)
@@ -76,11 +83,11 @@ struct BenchArgs
                     "'Physics', 'Media'\n  benchmark: a synthetic name "
                     "or a workload URI\n    (source://synthetic/<name>, "
                     "source://trace/<file>)\n"
-                    "  env: DARCO_BUDGET\n"
-                    "campaign options (all but --jobs route the sweep "
-                    "through the batch\nrunner; keep them off for "
-                    "committed perf baselines):\n");
-                std::fputs(runner::kCampaignFlagsHelp, stdout);
+                    "  env: DARCO_BUDGET\n");
+                if (campaign_flags) {
+                    std::printf("campaign options:\n");
+                    std::fputs(runner::kCampaignFlagsHelp, stdout);
+                }
                 std::exit(0);
             } else {
                 fatal("unknown argument: %s", arg.c_str());
@@ -116,8 +123,8 @@ makeMetricsOptions(const BenchArgs &args)
 /**
  * Workload URIs selected by the args, in figure order, without
  * resolving them (resolution can be expensive — a trace URI reads
- * and checksums the whole file — so the parallel sweep leaves it to
- * the workers). `--benchmark=` accepts a full workload URI (any
+ * and checksums the whole file — so sweepJobs leaves it to the
+ * runner's workers). `--benchmark=` accepts a full workload URI (any
  * registered scheme) or a bare synthetic benchmark name.
  */
 inline std::vector<std::string>
@@ -150,87 +157,79 @@ selectWorkloads(const BenchArgs &args)
 }
 
 /**
- * Run the selected workloads and append the four suite averages.
- *
- * `--jobs` picks the execution path: 1 runs the serial reference
- * loop on the calling thread; any other value routes the sweep
- * through runner::BatchRunner on a worker pool (0 = one worker per
- * hardware thread). Every job is an independent deterministic
- * System, so the returned metrics are bit-identical across paths
- * and pool sizes — only wall clock changes
- * (tests/test_batch_runner.cc enforces this).
- *
- * The other campaign flags (watchdog, retries, shard, result cache)
- * are BatchRunner features, so any of them routes the sweep through
- * the batch path even at --jobs=1. A sharded sweep returns only this
- * shard's metrics; suite averages appear only when the shard happens
- * to cover a whole suite.
+ * One job per selected workload, each running @p options under the
+ * parsed budget. In-file capture pins are not checked: a figure
+ * configuration is rarely the one a trace was captured under, so pin
+ * enforcement lives in the trace gates, engine_speed and
+ * run_benchmark, not in figure sweeps.
  */
-inline std::vector<sim::BenchMetrics>
-runSweep(const BenchArgs &args, sim::MetricsOptions options,
-         bool progress = true)
+inline std::vector<runner::BatchJob>
+sweepJobs(const BenchArgs &args, sim::MetricsOptions options)
 {
     applyBudget(options, args.budget);
+    std::vector<runner::BatchJob> jobs;
+    for (std::string &uri : selectWorkloadUris(args)) {
+        runner::BatchJob job;
+        job.workload = std::move(uri);
+        job.options = options;
+        job.checkCapturedPins = false;
+        jobs.push_back(std::move(job));
+    }
+    return jobs;
+}
+
+/**
+ * Run @p jobs through runner::BatchRunner under the parsed campaign
+ * flags and return one slot per job, in job order. Any failed job is
+ * fatal. Slots outside this --shard were never executed (another
+ * shard of the same campaign owns them) and come back with
+ * `skipped` set; callers leave them out of their tables.
+ *
+ * This is the only way a bench runs a sweep. Every job is an
+ * independent deterministic System, so the slots are bit-identical
+ * at any --jobs value (1 runs them inline on the calling thread) and
+ * whether they were simulated or served from --cache-dir — only
+ * wall clock changes (tests/test_batch_runner.cc enforces this).
+ */
+inline std::vector<runner::JobResult>
+runJobs(const BenchArgs &args, const std::vector<runner::BatchJob> &jobs)
+{
+    runner::BatchConfig config = args.campaign;
+    config.onJobDone = [](size_t, const runner::JobResult &r) {
+        const char *via = r.cacheStatus == runner::CacheStatus::Hit
+                              ? "(cache hit) "
+                          : r.deduped ? "(deduped) "
+                                      : "";
+        std::fprintf(stderr, "  finished %-24s %s%s\n",
+                     r.name.empty() ? r.uri.c_str() : r.name.c_str(),
+                     via, r.ok ? "" : "(FAILED)");
+    };
+    const runner::BatchRunner pool(config);
+    std::fprintf(stderr, "  sweeping %zu jobs on %u workers\n",
+                 jobs.size(), pool.effectiveWorkers(jobs.size()));
+    std::vector<runner::JobResult> results = pool.run(jobs);
+    for (const runner::JobResult &r : results) {
+        fatal_if(!r.skipped && !r.ok,
+                 "sweep job %s failed (%s after %u attempt(s)):\n%s",
+                 r.uri.c_str(), r.runError.name(), r.attempts,
+                 r.error.c_str());
+    }
+    return results;
+}
+
+/**
+ * Run the selected workloads under @p options and append the four
+ * suite averages. A sharded sweep returns only this shard's metrics;
+ * suite averages appear only when the shard happens to cover a whole
+ * suite.
+ */
+inline std::vector<sim::BenchMetrics>
+runSweep(const BenchArgs &args, const sim::MetricsOptions &options)
+{
     std::vector<sim::BenchMetrics> all;
-    if (args.campaign.workers == 1 &&
-        !runner::needsBatchRunner(args.campaign)) {
-        // Serial reference path: unchanged semantics, no threads.
-        for (const workloads::Workload &w : selectWorkloads(args)) {
-            if (progress) {
-                std::fprintf(stderr, "  running %-24s ...\n",
-                             w.name.c_str());
-            }
-            sim::MetricsOptions per_workload = options;
-            sim::applyCaptureRecipe(per_workload, w);
-            all.push_back(sim::runWorkload(w, per_workload));
-        }
-    } else {
-        // Workers resolve their own jobs (a trace URI reads the
-        // whole file), so the sweep only selects URIs here.
-        std::vector<runner::BatchJob> jobs;
-        for (std::string &uri : selectWorkloadUris(args)) {
-            runner::BatchJob job;
-            job.workload = std::move(uri);
-            job.options = options;
-            // The serial reference path (runWorkload) does not
-            // verify in-file capture pins, so the parallel path
-            // must not either — the two would otherwise diverge on
-            // a stale trace (pin enforcement lives in the trace
-            // gates and engine_speed, not in figure sweeps).
-            job.checkCapturedPins = false;
-            jobs.push_back(std::move(job));
-        }
-        runner::BatchConfig config = args.campaign;
-        if (progress) {
-            config.onJobDone = [](size_t, const runner::JobResult &r) {
-                const char *via =
-                    r.cacheStatus == runner::CacheStatus::Hit
-                        ? "(cache hit) "
-                    : r.deduped ? "(deduped) "
-                                : "";
-                std::fprintf(stderr, "  finished %-24s %s%s\n",
-                             r.name.empty() ? r.uri.c_str()
-                                            : r.name.c_str(),
-                             via, r.ok ? "" : "(FAILED)");
-            };
-        }
-        const runner::BatchRunner pool(config);
-        if (progress) {
-            std::fprintf(stderr,
-                         "  sweeping %zu workloads on %u workers\n",
-                         jobs.size(), pool.effectiveWorkers(jobs.size()));
-        }
-        for (runner::JobResult &r : pool.run(jobs)) {
-            // Out-of-shard slots were never executed: another shard
-            // of the same campaign owns them.
-            if (r.skipped)
-                continue;
-            fatal_if(!r.ok, "sweep job %s failed (%s after %u "
-                     "attempt(s)):\n%s",
-                     r.uri.c_str(), r.runError.name(), r.attempts,
-                     r.error.c_str());
+    for (runner::JobResult &r : runJobs(args, sweepJobs(args, options))) {
+        if (!r.skipped)
             all.push_back(std::move(r.metrics));
-        }
     }
 
     // Suite averages (only when the full suite ran).

@@ -222,22 +222,8 @@ main(int argc, char **argv)
 {
     // Budgets are fixed per scenario so results stay comparable
     // across PRs; parse() still provides --help and arg validation.
-    const bench::BenchArgs args = bench::BenchArgs::parse(argc, argv);
-    // engine_speed is intentionally serial: every sample is a
-    // process-CPU timing of ONE simulation owning the whole process,
-    // and the committed BENCH_engine.json trajectory is only
-    // comparable under that condition. Concurrent jobs would share
-    // caches/bandwidth and poison the measurements (the figure
-    // sweeps parallelize fine — their output is simulated
-    // quantities, not host timings). check_perf.py enforces the
-    // matching "execution": "serial" field on every committed
-    // scenario.
-    fatal_if(args.campaign.workers > 1,
-             "engine_speed is intentionally serial (--jobs=%u "
-             "rejected): its samples are host timings, and sharing "
-             "the process with concurrent jobs would corrupt the "
-             "committed perf trajectory",
-             args.campaign.workers);
+    // No campaign flags: each sample times one run owning the process.
+    bench::BenchArgs::parse(argc, argv, false);
 
     bench::ThroughputReporter reporter("engine_speed");
 

@@ -49,7 +49,7 @@ domDepth(const an::Cfg &cfg, size_t block)
 int
 main(int argc, char **argv)
 {
-    const BenchArgs args = BenchArgs::parse(argc, argv);
+    const BenchArgs args = BenchArgs::parse(argc, argv, false);
 
     struct Row
     {

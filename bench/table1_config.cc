@@ -12,7 +12,8 @@ using namespace darco;
 int
 main(int argc, char **argv)
 {
-    const bench::BenchArgs args = bench::BenchArgs::parse(argc, argv);
+    const bench::BenchArgs args =
+        bench::BenchArgs::parse(argc, argv, false);
     const timing::TimingConfig c;
 
     std::printf("=== Table I: host processor microarchitectural "

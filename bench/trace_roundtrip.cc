@@ -82,7 +82,7 @@ roundTrip(const workloads::Workload &live_workload, uint64_t budget)
 int
 main(int argc, char **argv)
 {
-    bench::BenchArgs args = bench::BenchArgs::parse(argc, argv);
+    bench::BenchArgs args = bench::BenchArgs::parse(argc, argv, false);
     if (args.budget > 2'000'000)
         args.budget = 2'000'000;
     // Unless filters say otherwise, run the four suite reps.

@@ -20,6 +20,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <iterator>
 #include <limits>
 #include <string>
 #include <vector>
@@ -45,7 +46,8 @@ usage()
         "workload: a synthetic benchmark name, or a source URI\n"
         "  (source://synthetic/<name>, source://trace/<file>);\n"
         "  trace workloads replay their capture-time recipe unless\n"
-        "  --budget/--sb-threshold override it\n"
+        "  --budget/--sb-threshold override it, and must reproduce\n"
+        "  its pins unless one of those or a toggle changes the run\n"
         "options:\n"
         "  --budget=N        guest instructions (default 2000000)\n"
         "  --sb-threshold=N  BB->SB threshold (default: budget-scaled)\n"
@@ -67,17 +69,57 @@ usage()
         "are single-run features and are rejected\n");
 }
 
+using Opts = sim::MetricsOptions;
+
+/**
+ * The TOL and timing toggles. Each one changes the combined run, so
+ * a trace replayed under any of them is no longer the run its
+ * in-file pins describe.
+ */
+struct Toggle
+{
+    const char *flag;
+    void (*apply)(Opts &);
+};
+
+const Toggle kToggles[] = {
+    {"--no-chaining", [](Opts &o) { o.tolConfig.enableChaining = false; }},
+    {"--no-ibtc", [](Opts &o) { o.tolConfig.enableIbtc = false; }},
+    {"--no-bbm-opts", [](Opts &o) { o.tolConfig.enableBbmOpts = false; }},
+    {"--no-sbm-opts", [](Opts &o) { o.tolConfig.enableSbmOpts = false; }},
+    {"--no-scheduling", [](Opts &o) { o.tolConfig.enableScheduling = false; }},
+    {"--ibtc-2way", [](Opts &o) { o.tolConfig.ibtcWays = 2; }},
+    {"--sb-partition", [](Opts &o) { o.tolConfig.sbPartitionPercent = 50; }},
+    {"--no-prefetcher",
+     [](Opts &o) { o.timingConfig.prefetcherEnabled = false; }},
+    {"--no-burst", [](Opts &o) { o.timingConfig.burst = false; }},
+};
+
+/** One "label cycles IPC miss-rates" line for an isolation pipe. */
+void
+printPipe(const char *label, const timing::PipeStats *pipe)
+{
+    if (!pipe)
+        return;
+    std::printf("%-12s %llu cycles, IPC %.2f  D$ %.2f%%  I$ %.2f%%  "
+                "BP %.2f%%\n",
+                label, static_cast<unsigned long long>(pipe->cycles),
+                pipe->ipc(), 100.0 * pipe->l1d.missRate(),
+                100.0 * pipe->l1i.missRate(),
+                100.0 * pipe->bp.mispredictRate());
+}
+
 } // namespace
 
 int
 main(int argc, char **argv)
 {
     std::vector<std::string> names;
-    sim::MetricsOptions options;
+    // Every run, batched or not, is this job with its workload set.
+    runner::BatchJob job;
     bool cosim = false;
     bool dump_hottest = false;
-    bool threshold_set = false;
-    bool budget_set = false;
+    bool toggled = false;
     runner::BatchConfig config;
     bool require_hits = false;
 
@@ -88,44 +130,30 @@ main(int argc, char **argv)
                 std::printf("%s\n", uri.c_str());
             return 0;
         } else if (arg.rfind("--budget=", 0) == 0) {
-            options.guestBudget = runner::parseCount(
+            job.guestBudgetOverride = runner::parseCount(
                 "--budget", arg.substr(9),
                 std::numeric_limits<uint64_t>::max());
-            budget_set = true;
         } else if (arg == "--require-hits") {
             require_hits = true;
         } else if (arg.rfind("--capture=", 0) == 0) {
-            options.captureTracePath = arg.substr(10);
+            job.options.captureTracePath = arg.substr(10);
         } else if (arg.rfind("--sb-threshold=", 0) == 0) {
-            options.tolConfig.bbToSbThreshold =
+            job.sbThresholdOverride =
                 static_cast<uint32_t>(runner::parseCount(
                     "--sb-threshold", arg.substr(15),
                     std::numeric_limits<uint32_t>::max()));
-            threshold_set = true;
         } else if (arg == "--cosim") {
             cosim = true;
-        } else if (arg == "--no-chaining") {
-            options.tolConfig.enableChaining = false;
-        } else if (arg == "--no-ibtc") {
-            options.tolConfig.enableIbtc = false;
-        } else if (arg == "--no-bbm-opts") {
-            options.tolConfig.enableBbmOpts = false;
-        } else if (arg == "--no-sbm-opts") {
-            options.tolConfig.enableSbmOpts = false;
-        } else if (arg == "--no-scheduling") {
-            options.tolConfig.enableScheduling = false;
-        } else if (arg == "--ibtc-2way") {
-            options.tolConfig.ibtcWays = 2;
-        } else if (arg == "--sb-partition") {
-            options.tolConfig.sbPartitionPercent = 50;
-        } else if (arg == "--no-prefetcher") {
-            options.timingConfig.prefetcherEnabled = false;
-        } else if (arg == "--no-burst") {
-            options.timingConfig.burst = false;
+        } else if (const Toggle *t = std::find_if(
+                       std::begin(kToggles), std::end(kToggles),
+                       [&](const Toggle &k) { return arg == k.flag; });
+                   t != std::end(kToggles)) {
+            t->apply(job.options);
+            toggled = true;
         } else if (arg == "--isolation") {
-            options.tolOnlyPipe = true;
-            options.appOnlyPipe = true;
-            options.tolModulePipe = true;
+            job.options.tolOnlyPipe = true;
+            job.options.appOnlyPipe = true;
+            job.options.tolModulePipe = true;
         } else if (arg == "--dump-hottest") {
             dump_hottest = true;
         } else if (arg == "--help" || arg == "-h") {
@@ -158,6 +186,17 @@ main(int argc, char **argv)
                      "--require-hits needs --cache-dir=\n");
         return 1;
     }
+
+    // The budget-scaled threshold is the default; a trace's capture
+    // recipe replaces the budget and thresholds, and --budget and
+    // --sb-threshold win over both (runner::effectiveOptions). Its
+    // in-file pins are checked exactly when no option changed the
+    // combined run.
+    job.options.tolConfig.bbToSbThreshold = sim::scaledSbThreshold(
+        job.guestBudgetOverride.value_or(job.options.guestBudget));
+    job.checkCapturedPins = !job.guestBudgetOverride &&
+                            !job.sbThresholdOverride && !toggled;
+
     // Batch-runner features route even a single workload through
     // the batch path (summary line instead of the detailed report).
     if (names.size() > 1 || runner::needsBatchRunner(config)) {
@@ -167,38 +206,18 @@ main(int argc, char **argv)
         // isolation stats, hottest-region dump) have no column in
         // the summary, so the flags that exist only to feed them
         // are rejected rather than silently burning work.
-        if (!options.captureTracePath.empty() || cosim ||
-            dump_hottest || options.tolOnlyPipe) {
+        if (!job.options.captureTracePath.empty() || cosim ||
+            dump_hottest || job.options.tolOnlyPipe) {
             std::fprintf(stderr,
                          "--capture/--cosim/--isolation/"
                          "--dump-hottest are single-workload "
                          "features\n");
             return 1;
         }
-        if (!threshold_set) {
-            options.tolConfig.bbToSbThreshold =
-                sim::scaledSbThreshold(options.guestBudget);
-        }
         std::vector<runner::BatchJob> batch;
         for (const std::string &n : names) {
-            runner::BatchJob job;
-            job.workload = n;
-            job.options = options;
-            // Same precedence as the single-workload path: a trace's
-            // capture recipe supplies the defaults, an explicit
-            // --budget/--sb-threshold wins. A budget override
-            // changes the functional execution, so the in-file pins
-            // no longer apply.
-            if (budget_set) {
-                job.guestBudgetOverride = options.guestBudget;
-                job.checkCapturedPins = false;
-            }
-            if (threshold_set) {
-                job.sbThresholdOverride =
-                    options.tolConfig.bbToSbThreshold;
-                job.checkCapturedPins = false;
-            }
-            batch.push_back(std::move(job));
+            batch.push_back(job);
+            batch.back().workload = n;
         }
         const runner::BatchRunner pool(config);
         std::fprintf(stderr, "running %zu workloads on %u workers\n",
@@ -285,28 +304,13 @@ main(int argc, char **argv)
         return all_ok ? 0 : 1;
     }
 
-    const std::string &name = names.front();
+    // Single-workload mode keeps a live System for the features
+    // that need one: --cosim, --dump-hottest and --capture.
+    job.workload = names.front();
     const workloads::Workload workload =
-        workloads::resolveWorkload(name);
-    if (workload.capturedMeta) {
-        // Trace replay: the capture-time recipe applies unless the
-        // command line explicitly overrides a field.
-        const uint64_t user_budget = options.guestBudget;
-        const uint32_t user_threshold = options.tolConfig.bbToSbThreshold;
-        sim::applyCaptureRecipe(options, workload);
-        if (budget_set)
-            options.guestBudget = user_budget;
-        if (threshold_set)
-            options.tolConfig.bbToSbThreshold = user_threshold;
-        else
-            threshold_set = true;  // the recipe supplied it
-    }
-    if (!threshold_set) {
-        options.tolConfig.bbToSbThreshold =
-            sim::scaledSbThreshold(options.guestBudget);
-    }
-
-    sim::SimConfig cfg = sim::configFromOptions(options);
+        workloads::resolveWorkload(job.workload);
+    sim::SimConfig cfg =
+        sim::configFromOptions(runner::effectiveOptions(job, workload));
     cfg.cosim = cosim;
     sim::System sys(cfg);
     sys.load(workload);
@@ -373,14 +377,11 @@ main(int argc, char **argv)
                         ? "OK"
                         : "MISMATCH");
     }
-    if (sys.tolModuleStats()) {
-        const timing::PipeStats *tp = sys.tolModuleStats();
-        std::printf("TOL isolated IPC %.2f  D$ %.2f%%  I$ %.2f%%  "
-                    "BP %.2f%%\n",
-                    tp->ipc(), 100.0 * tp->l1d.missRate(),
-                    100.0 * tp->l1i.missRate(),
-                    100.0 * tp->bp.mispredictRate());
-    }
+    // --isolation: the TOL-module pipe (Figure 8) and the TOL-only
+    // and APP-only pipes (Figure 10), each stream timed alone.
+    printPipe("TOL module", sys.tolModuleStats());
+    printPipe("TOL only", sys.tolOnlyStats());
+    printPipe("APP only", sys.appOnlyStats());
 
     if (dump_hottest) {
         // Walk the code cache for the most-executed region.
@@ -400,6 +401,17 @@ main(int argc, char **argv)
                         hottest->execCount,
                         host::disassembleRegion(*hottest).c_str());
         }
+    }
+    if (job.checkCapturedPins && workload.capturedPins) {
+        const std::string diff = trace::diffPins(
+            "capture",
+            sim::measuredPins(sim::snapshotFromSystem(sys, res)),
+            *workload.capturedPins);
+        if (!diff.empty()) {
+            std::fprintf(stderr, "%s", diff.c_str());
+            return 1;
+        }
+        std::printf("pins         match the trace's capture pins\n");
     }
     return 0;
 }

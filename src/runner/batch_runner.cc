@@ -55,24 +55,12 @@ struct Effective
     uint64_t fingerprint = 0;
 };
 
-/**
- * The one derivation of a job's effective options over its resolved
- * workload: recipe, then explicit per-job overrides, mirroring
- * run_benchmark's single-workload semantics (the recipe supplies
- * defaults, the command line wins), then the config fingerprint.
- * The execute path, the cache lookup and the dedup pre-pass all call
- * this, so they cannot disagree on what "the same job" means.
- */
+/** The effective options plus the config fingerprint naming them. */
 Effective
 effectiveConfig(const BatchJob &job, const workloads::Workload &workload)
 {
     Effective e;
-    e.options = job.options;
-    sim::applyCaptureRecipe(e.options, workload);
-    if (job.guestBudgetOverride)
-        e.options.guestBudget = *job.guestBudgetOverride;
-    if (job.sbThresholdOverride)
-        e.options.tolConfig.bbToSbThreshold = *job.sbThresholdOverride;
+    e.options = effectiveOptions(job, workload);
     e.fingerprint = configFingerprint(e.options, job.workload,
                                       job.requireHalt);
     return e;
@@ -448,6 +436,18 @@ fanOutResult(const BatchJob &job, const workloads::Workload &workload,
 
 } // namespace
 
+sim::MetricsOptions
+effectiveOptions(const BatchJob &job, const workloads::Workload &workload)
+{
+    sim::MetricsOptions options = job.options;
+    sim::applyCaptureRecipe(options, workload);
+    if (job.guestBudgetOverride)
+        options.guestBudget = *job.guestBudgetOverride;
+    if (job.sbThresholdOverride)
+        options.tolConfig.bbToSbThreshold = *job.sbThresholdOverride;
+    return options;
+}
+
 BatchRunner::BatchRunner(BatchConfig config) : cfg(std::move(config)) {}
 
 unsigned
@@ -623,7 +623,7 @@ BatchRunner::run(const std::vector<BatchJob> &jobs) const
     };
 
     if (workers <= 1) {
-        // Serial reference path: same executeJob, calling thread.
+        // One worker: the same drain loop, on the calling thread.
         drain();
         return results;
     }

@@ -77,8 +77,7 @@ struct BatchJob
     /** Workload URI (any registered scheme) or bare synthetic name. */
     std::string workload;
     /** Per-job run configuration; a trace workload's capture recipe
-     *  is re-applied on top (sim::applyCaptureRecipe), exactly as
-     *  the serial sweep path does. */
+     *  is re-applied on top (effectiveOptions). */
     sim::MetricsOptions options;
     /**
      * Optional externally pinned determinism expectations: when set,
@@ -90,11 +89,11 @@ struct BatchJob
     /** Verify in-file capture pins of trace workloads (default on). */
     bool checkCapturedPins = true;
     /**
-     * Explicit user overrides applied AFTER the capture recipe,
-     * mirroring run_benchmark's single-workload semantics: the
-     * recipe supplies defaults, the command line wins. An override
-     * that changes the functional execution invalidates a trace's
-     * in-file pins — set checkCapturedPins = false alongside.
+     * Explicit user overrides applied AFTER the capture recipe
+     * (effectiveOptions): the recipe supplies defaults, the command
+     * line wins. An override that changes the functional execution
+     * invalidates a trace's in-file pins — set checkCapturedPins =
+     * false alongside.
      */
     std::optional<uint64_t> guestBudgetOverride;
     std::optional<uint32_t> sbThresholdOverride;
@@ -140,7 +139,7 @@ struct JobResult
      *  compare with timing::diffStats / tol::diffTolStats). A
      *  Timeout failure still carries the partial-run snapshot. */
     sim::RunSnapshot snapshot;
-    /** Derived figure metrics, identical to sim::runWorkload's. */
+    /** Derived figure metrics (sim::collectMetrics of snapshot). */
     sim::BenchMetrics metrics;
 
     /** Execution attempts made (1 = no retry; 0 = served without
@@ -198,7 +197,7 @@ struct BatchConfig
 {
     /** Worker threads; 0 = std::thread::hardware_concurrency().
      *  Effective pool size is capped at the job count; 1 executes
-     *  inline on the calling thread (the serial reference path). */
+     *  inline on the calling thread, through the same per-job path. */
     unsigned workers = 0;
     /**
      * Invoked after each job completes, serialized under an internal
@@ -246,6 +245,18 @@ struct BatchConfig
      */
     double verifyHitFraction = 0.0;
 };
+
+/**
+ * The options @p job runs with over its resolved @p workload: the
+ * job's options, then a trace's capture recipe
+ * (sim::applyCaptureRecipe), then the job's explicit overrides. The
+ * one precedence rule for every run, batched or not — the runner's
+ * execute path, cache lookup and dedup pre-pass derive their config
+ * fingerprint from it, and run_benchmark's single-workload path
+ * builds its System from it.
+ */
+sim::MetricsOptions effectiveOptions(const BatchJob &job,
+                                     const workloads::Workload &workload);
 
 class BatchRunner
 {

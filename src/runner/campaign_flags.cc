@@ -9,9 +9,9 @@
 namespace darco::runner {
 
 const char *const kCampaignFlagsHelp =
-    "  --jobs=N          worker threads (0 = hardware threads, 1 = the\n"
-    "                    serial reference; results are identical\n"
-    "                    either way)\n"
+    "  --jobs=N          worker threads (0 = hardware threads, 1 = one\n"
+    "                    job at a time on the calling thread; results\n"
+    "                    are identical either way)\n"
     "  --timeout=MS      per-job wall-clock watchdog: a run past the\n"
     "                    deadline is cancelled and fails as Timeout\n"
     "                    with partial metrics\n"

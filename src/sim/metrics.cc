@@ -21,18 +21,6 @@ configFromOptions(const MetricsOptions &options)
     return cfg;
 }
 
-BenchMetrics
-runWorkload(const workloads::Workload &workload,
-            const MetricsOptions &options)
-{
-    const SimConfig cfg = configFromOptions(options);
-
-    System sys(cfg);
-    sys.load(workload);
-    const SystemResult res = sys.run();
-    return collectMetrics(sys, res, workload.name, workload.suite);
-}
-
 RunSnapshot
 snapshotFromSystem(const System &sys, const SystemResult &res)
 {
@@ -175,20 +163,6 @@ collectMetrics(const RunSnapshot &snap, const std::string &name,
     }
 
     return m;
-}
-
-BenchMetrics
-collectMetrics(const System &sys, const SystemResult &res,
-               const std::string &name, const std::string &suite)
-{
-    return collectMetrics(snapshotFromSystem(sys, res), name, suite);
-}
-
-BenchMetrics
-runBenchmark(const workloads::BenchParams &params,
-             const MetricsOptions &options)
-{
-    return runWorkload(workloads::syntheticWorkload(params), options);
 }
 
 RunSnapshot

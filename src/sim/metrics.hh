@@ -258,21 +258,11 @@ applyCaptureRecipe(MetricsOptions &options,
 }
 
 /**
- * The one MetricsOptions -> SimConfig translation: runWorkload,
- * snapshotRun and runner::BatchRunner must not diverge on which
- * options take effect (parallel and serial sweeps have to build
- * bit-identical Systems from the same options).
+ * The one MetricsOptions -> SimConfig translation: snapshotRun,
+ * runner::BatchRunner and every tool that builds its own System go
+ * through it, so they cannot diverge on which options take effect.
  */
 SimConfig configFromOptions(const MetricsOptions &options);
-
-/**
- * Run one resolved workload — whatever source it came from — and
- * collect all figure metrics. Trace-sourced workloads replay their
- * captured program image; apply the capture recipe to @p options
- * first (applyCaptureRecipe) for bit-identical replay.
- */
-BenchMetrics runWorkload(const workloads::Workload &workload,
-                         const MetricsOptions &options);
 
 /**
  * Raw outcome of one run: the result plus full stats snapshots.
@@ -321,27 +311,12 @@ BenchMetrics collectMetrics(const RunSnapshot &snap,
                             const std::string &suite);
 
 /**
- * Derive the full figure-metrics record from a finished System run.
- * Shared by runWorkload and the batch runner so one System execution
- * can yield both a BenchMetrics and a RunSnapshot without running
- * the workload twice.
- */
-BenchMetrics collectMetrics(const System &sys,
-                            const SystemResult &res,
-                            const std::string &name,
-                            const std::string &suite);
-
-/**
  * One System run of @p workload under the default configuration
  * plus @p options overrides and the workload's capture recipe (when
  * it has one); @p options.captureTracePath captures as usual.
  */
 RunSnapshot snapshotRun(const workloads::Workload &workload,
                         const MetricsOptions &options);
-
-/** Run one synthetic benchmark (runWorkload over the builder). */
-BenchMetrics runBenchmark(const workloads::BenchParams &params,
-                          const MetricsOptions &options);
 
 /** Average metrics over a set (arithmetic mean of fractions). */
 BenchMetrics averageMetrics(const std::vector<BenchMetrics> &all,

@@ -297,6 +297,50 @@ TEST(BatchRunner, OverridesWinOverCaptureRecipe)
     std::remove(path.c_str());
 }
 
+TEST(BatchRunner, EffectiveOptionsRecipeThenOverrides)
+{
+    // The one precedence rule: job options, then a trace's capture
+    // recipe, then the job's explicit overrides.
+    sim::MetricsOptions options = smallOptions(120'000);
+    options.tolConfig.enableIbtc = false;
+    const runner::BatchJob job =
+        makeJob(workloads::syntheticUri("429.mcf"), options);
+
+    // A synthetic workload carries no recipe: untouched.
+    workloads::Workload workload =
+        workloads::resolveWorkload(job.workload);
+    ASSERT_FALSE(workload.capturedMeta.has_value());
+    sim::MetricsOptions eff = runner::effectiveOptions(job, workload);
+    EXPECT_EQ(eff.guestBudget, options.guestBudget);
+    EXPECT_EQ(eff.tolConfig.imToBbThreshold,
+              options.tolConfig.imToBbThreshold);
+    EXPECT_EQ(eff.tolConfig.bbToSbThreshold,
+              options.tolConfig.bbToSbThreshold);
+    EXPECT_FALSE(eff.tolConfig.enableIbtc);
+
+    // A trace's recipe supplies the budget and both thresholds; the
+    // job's other options survive.
+    trace::TraceMeta recipe;
+    recipe.guestBudget = 77'000;
+    recipe.imToBbThreshold = 9;
+    recipe.bbToSbThreshold = 1234;
+    workload.capturedMeta = recipe;
+    eff = runner::effectiveOptions(job, workload);
+    EXPECT_EQ(eff.guestBudget, 77'000u);
+    EXPECT_EQ(eff.tolConfig.imToBbThreshold, 9u);
+    EXPECT_EQ(eff.tolConfig.bbToSbThreshold, 1234u);
+    EXPECT_FALSE(eff.tolConfig.enableIbtc);
+
+    // Explicit overrides win over the recipe.
+    runner::BatchJob overridden = job;
+    overridden.guestBudgetOverride = 50'000;
+    overridden.sbThresholdOverride = 4321;
+    eff = runner::effectiveOptions(overridden, workload);
+    EXPECT_EQ(eff.guestBudget, 50'000u);
+    EXPECT_EQ(eff.tolConfig.bbToSbThreshold, 4321u);
+    EXPECT_EQ(eff.tolConfig.imToBbThreshold, 9u);
+}
+
 // ---------------------------------------------------------------------
 // Scheduling properties: order, failure isolation, oversubscription.
 // ---------------------------------------------------------------------

@@ -559,8 +559,11 @@ TEST(TraceCapture, MetricsOptionsPassthrough)
     options.guestBudget = 120'000;
     options.tolConfig.bbToSbThreshold = 300;
     options.captureTracePath = path;
-    const sim::BenchMetrics live = sim::runBenchmark(
-        *workloads::findBenchmark("401.bzip2"), options);
+    const workloads::Workload workload =
+        workloads::resolveWorkload(workloads::syntheticUri("401.bzip2"));
+    const sim::BenchMetrics live = sim::collectMetrics(
+        sim::snapshotRun(workload, options), workload.name,
+        workload.suite);
 
     const workloads::Workload replayed =
         workloads::resolveWorkload(workloads::traceUri(path));
@@ -569,8 +572,9 @@ TEST(TraceCapture, MetricsOptionsPassthrough)
     EXPECT_EQ(replayed.capturedPins->simCycles, live.cycles);
 
     options.captureTracePath.clear();
-    const sim::BenchMetrics replay =
-        sim::runWorkload(replayed, options);
+    const sim::BenchMetrics replay = sim::collectMetrics(
+        sim::snapshotRun(replayed, options), replayed.name,
+        replayed.suite);
     EXPECT_EQ(replay.name, "401.bzip2");
     EXPECT_EQ(replay.suite, "SPEC INT");
     EXPECT_EQ(replay.guestRetired, live.guestRetired);

@@ -39,7 +39,7 @@ struct RunOutcome
 };
 
 RunOutcome
-runBenchmark(const wl::BenchParams &params, uint64_t budget)
+runSynthetic(const wl::BenchParams &params, uint64_t budget)
 {
     System sys(quickConfig(budget));
     sys.load(wl::buildBenchmark(params));
@@ -63,7 +63,7 @@ class WorkloadSuite : public ::testing::TestWithParam<size_t>
 TEST_P(WorkloadSuite, RunsUnderStrictCosim)
 {
     const wl::BenchParams &params = wl::allBenchmarks()[GetParam()];
-    const RunOutcome out = runBenchmark(params, 60000);
+    const RunOutcome out = runSynthetic(params, 60000);
     // Strict cosim would have panicked on mismatch; check progress.
     EXPECT_GE(out.result.guestRetired, 50000u) << params.name;
     EXPECT_GT(out.staticInsts, 50u) << params.name;
@@ -94,18 +94,18 @@ TEST(WorkloadCharacteristics, PerlbenchIndirectHeavyVsBzip2)
 {
     // Paper §III-B: 400.perlbench has ~4 orders of magnitude more
     // indirect branches than 401.bzip2.
-    const auto perl = runBenchmark(*wl::findBenchmark("400.perlbench"),
+    const auto perl = runSynthetic(*wl::findBenchmark("400.perlbench"),
                                    300000);
-    const auto bzip = runBenchmark(*wl::findBenchmark("401.bzip2"),
+    const auto bzip = runSynthetic(*wl::findBenchmark("401.bzip2"),
                                    300000);
     EXPECT_GT(perl.indirect, 20 * std::max<uint64_t>(1, bzip.indirect));
 }
 
 TEST(WorkloadCharacteristics, LibquantumHighRepetition)
 {
-    const auto libq = runBenchmark(
+    const auto libq = runSynthetic(
         *wl::findBenchmark("462.libquantum"), 400000);
-    const auto cjpeg = runBenchmark(*wl::findBenchmark("000.cjpeg"),
+    const auto cjpeg = runSynthetic(*wl::findBenchmark("000.cjpeg"),
                                     400000);
     const double libq_ratio =
         static_cast<double>(libq.result.guestRetired) /
@@ -121,9 +121,9 @@ TEST(WorkloadCharacteristics, SimilarStaticFootprints)
 {
     // Paper §III-B: cjpeg, djpeg and milc have similar static
     // footprints (~15K), but milc has far more dynamic instructions.
-    const auto cjpeg = runBenchmark(*wl::findBenchmark("000.cjpeg"),
+    const auto cjpeg = runSynthetic(*wl::findBenchmark("000.cjpeg"),
                                     500000);
-    const auto milc = runBenchmark(*wl::findBenchmark("433.milc"),
+    const auto milc = runSynthetic(*wl::findBenchmark("433.milc"),
                                    500000);
     EXPECT_LT(static_cast<double>(cjpeg.staticInsts) * 0.4,
               static_cast<double>(milc.staticInsts));
@@ -149,7 +149,7 @@ TEST(WorkloadCharacteristics, Jpg2000EncMoreSuperblocksThanDec)
 
 TEST(WorkloadCharacteristics, SpecrandRunsToCompletion)
 {
-    const auto rnd = runBenchmark(*wl::findBenchmark("998.specrand"),
+    const auto rnd = runSynthetic(*wl::findBenchmark("998.specrand"),
                                   10'000'000);
     EXPECT_TRUE(rnd.result.halted);
 }
