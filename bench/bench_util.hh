@@ -196,13 +196,12 @@ runJobs(const BenchArgs &args, const std::vector<runner::BatchJob> &jobs)
 {
     runner::BatchConfig config = args.campaign;
     config.onJobDone = [](size_t, const runner::JobResult &r) {
-        const char *via = r.cacheStatus == runner::CacheStatus::Hit
-                              ? "(cache hit) "
-                          : r.deduped ? "(deduped) "
-                                      : "";
         std::fprintf(stderr, "  finished %-24s %s%s\n",
                      r.name.empty() ? r.uri.c_str() : r.name.c_str(),
-                     via, r.ok ? "" : "(FAILED)");
+                     r.cacheStatus == runner::CacheStatus::Hit
+                         ? "(cache hit) "
+                         : "",
+                     r.ok ? "" : "(FAILED)");
     };
     const runner::BatchRunner pool(config);
     std::fprintf(stderr, "  sweeping %zu jobs on %u workers\n",

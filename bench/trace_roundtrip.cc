@@ -6,9 +6,9 @@
  * suite / every benchmark with the usual filters — run the synthetic
  * workload live with capture enabled, replay the written trace
  * through `source://trace/...`, and require the replay to be
- * bit-identical: SystemResult fields, every TOL activity counter
- * (tol::diffTolStats) and every timing-pipeline counter
- * (timing::diffStats) must match the live run exactly, and the
+ * bit-identical: the whole run snapshot (sim::diffRunSnapshots:
+ * SystemResult fields, the timing core, every timing-pipeline and
+ * TOL activity counter) must match the live run exactly, and the
  * replay must match every pin recorded inside the trace
  * (trace::diffPins). Exit 0 = identical, 1 = divergence.
  */
@@ -54,15 +54,12 @@ roundTrip(const workloads::Workload &live_workload, uint64_t budget)
     const sim::RunSnapshot replay =
         sim::snapshotRun(replayed, sim::MetricsOptions{});
 
-    // Live against replay (pins, pipeline and TOL counters), then
-    // the replay against the pins recorded inside the trace file.
-    const trace::TracePins replay_pins = sim::measuredPins(replay);
+    // Live against replay (the whole snapshot), then the replay
+    // against the pins recorded inside the trace file.
     const std::string diff =
-        trace::diffPins("live/replay", sim::measuredPins(live),
-                        replay_pins) +
-        timing::diffStats(live.stats, replay.stats) +
-        tol::diffTolStats(live.tolStats, replay.tolStats) +
-        trace::diffPins("replay", replay_pins, *replayed.capturedPins);
+        sim::diffRunSnapshots(live, replay) +
+        trace::diffPins("replay", sim::measuredPins(replay),
+                        *replayed.capturedPins);
     if (!diff.empty()) {
         std::fprintf(stderr, "  MISMATCH %s:\n%s",
                      live_workload.name.c_str(), diff.c_str());

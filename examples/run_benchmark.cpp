@@ -250,8 +250,6 @@ main(int argc, char **argv)
                 cache_col = "bypass";
                 break;
               case runner::CacheStatus::None:
-                if (r.deduped)
-                    cache_col = "dedup";
                 break;
             }
             if (!r.ok) {

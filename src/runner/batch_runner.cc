@@ -2,21 +2,16 @@
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <memory>
 #include <mutex>
 #include <set>
 #include <thread>
-#include <unordered_map>
 
 #include "common/logging.hh"
-#include "profile/profile.hh"
 #include "runner/journal.hh"
 #include "runner/result_cache.hh"
 #include "runner/watchdog.hh"
 #include "sim/system.hh"
-#include "timing/pipeline.hh"
-#include "tol/stats.hh"
 #include "workloads/source.hh"
 
 namespace darco::runner {
@@ -24,21 +19,17 @@ namespace darco::runner {
 namespace {
 
 /**
- * Every pin mismatch of @p r against the workload's in-file pins
- * (when the job checks them) and the job's expected pins.
+ * Every mismatch of @p r against the workload's in-file capture pins
+ * (when the job checks them).
  */
 std::string
 pinMismatches(const BatchJob &job, const workloads::Workload &workload,
               const JobResult &r)
 {
-    const trace::TracePins measured = sim::measuredPins(r.snapshot);
-    std::string diff;
-    if (job.checkCapturedPins && workload.capturedPins)
-        diff += trace::diffPins("capture", measured,
-                                *workload.capturedPins);
-    if (job.expectedPins)
-        diff += trace::diffPins("expected", measured, *job.expectedPins);
-    return diff;
+    if (!job.checkCapturedPins || !workload.capturedPins)
+        return "";
+    return trace::diffPins("capture", sim::measuredPins(r.snapshot),
+                           *workload.capturedPins);
 }
 
 /** Per-batch execution services shared by every worker. */
@@ -48,32 +39,16 @@ struct ExecContext
     uint64_t timeoutMs = 0;
 };
 
-/** A job's effective configuration and the fingerprint naming it. */
-struct Effective
-{
-    sim::MetricsOptions options;
-    uint64_t fingerprint = 0;
-};
-
-/** The effective options plus the config fingerprint naming them. */
-Effective
-effectiveConfig(const BatchJob &job, const workloads::Workload &workload)
-{
-    Effective e;
-    e.options = effectiveOptions(job, workload);
-    e.fingerprint = configFingerprint(e.options, job.workload,
-                                      job.requireHalt);
-    return e;
-}
-
 /**
- * A job's resolved identity and effective configuration — the part
- * of execution that defines the experiment without running it.
+ * A job's resolved identity, effective options and the config
+ * fingerprint naming them — the part of execution that defines the
+ * experiment without running it.
  */
 struct PreparedJob
 {
     workloads::Workload workload;
-    Effective effective;
+    sim::MetricsOptions options;
+    uint64_t fingerprint = 0;
 };
 
 /**
@@ -86,7 +61,9 @@ prepareJob(const BatchJob &job)
 {
     PreparedJob p;
     p.workload = workloads::resolveWorkload(job.workload);
-    p.effective = effectiveConfig(job, p.workload);
+    p.options = effectiveOptions(job, p.workload);
+    p.fingerprint = configFingerprint(p.options, job.workload,
+                                      job.requireHalt);
     return p;
 }
 
@@ -124,52 +101,6 @@ selectedForVerify(uint64_t fingerprint, double fraction)
 }
 
 /**
- * Full bit-identity comparison of two snapshots, one line per
- * divergence (empty = identical). The same currency the
- * parallel-vs-serial and kill-and-resume gates trade in.
- */
-std::string
-diffSnapshots(const sim::RunSnapshot &fresh,
-              const sim::RunSnapshot &cached)
-{
-    std::string diff;
-    auto field = [&](const char *what, uint64_t got, uint64_t want) {
-        if (got != want) {
-            diff += strprintf("%s %llu != cached %llu\n", what,
-                              static_cast<unsigned long long>(got),
-                              static_cast<unsigned long long>(want));
-        }
-    };
-    field("guest_retired", fresh.result.guestRetired,
-          cached.result.guestRetired);
-    field("halted", fresh.result.halted, cached.result.halted);
-    field("sim_cycles", fresh.result.cycles, cached.result.cycles);
-    if (fresh.timingCore != cached.timingCore) {
-        diff += strprintf("timing_core %s != cached %s\n",
-                          fresh.timingCore.c_str(),
-                          cached.timingCore.c_str());
-    }
-    diff += timing::diffStats(fresh.stats, cached.stats);
-    auto pipe = [&](const char *what,
-                    const std::optional<timing::PipeStats> &a,
-                    const std::optional<timing::PipeStats> &b) {
-        if (a.has_value() != b.has_value())
-            diff += strprintf("%s presence differs\n", what);
-        else if (a)
-            diff += timing::diffStats(*a, *b);
-    };
-    pipe("tol_only", fresh.tolOnly, cached.tolOnly);
-    pipe("app_only", fresh.appOnly, cached.appOnly);
-    pipe("tol_module", fresh.tolModule, cached.tolModule);
-    diff += tol::diffTolStats(fresh.tolStats, cached.tolStats);
-    if (fresh.profile.has_value() != cached.profile.has_value())
-        diff += "profile presence differs\n";
-    else if (fresh.profile)
-        diff += profile::diffProfiles(*fresh.profile, *cached.profile);
-    return diff;
-}
-
-/**
  * Run one attempt of one job start to finish on the calling thread.
  * Everything a job touches is job-local (its own System, memories,
  * pipelines, cancel token); the only shared services are the
@@ -196,11 +127,10 @@ executeAttempt(const BatchJob &job, const ExecContext &ctx)
         r.uri = workload.uri;
         // Fingerprint before wiring the cancel token: the token is
         // runtime plumbing, not part of the experiment definition.
-        r.fingerprint = prep.effective.fingerprint;
+        r.fingerprint = prep.fingerprint;
         if (ctx.timeoutMs)
-            prep.effective.options.cancel = &token;
-        const sim::SimConfig cfg =
-            sim::configFromOptions(prep.effective.options);
+            prep.options.cancel = &token;
+        const sim::SimConfig cfg = sim::configFromOptions(prep.options);
 
         WatchdogArm deadline(ctx.watchdog, &token, ctx.timeoutMs);
         sim::System sys(cfg);
@@ -302,7 +232,7 @@ tryCacheHit(const BatchJob &job, ResultCache &cache,
     ScopedFatalThrow fatal_throws;
     try {
         const PreparedJob prep = prepareJob(job);
-        const CacheKey key{prep.workload.uri, prep.effective.fingerprint,
+        const CacheKey key{prep.workload.uri, prep.fingerprint,
                            std::string(kJournalEngineVersion)};
         std::optional<sim::RunSnapshot> snap = cache.lookup(key);
         if (!snap)
@@ -313,7 +243,7 @@ tryCacheHit(const BatchJob &job, ResultCache &cache,
         r.suite = prep.workload.suite;
         r.uri = prep.workload.uri;
         r.snapshot = std::move(*snap);
-        r.fingerprint = prep.effective.fingerprint;
+        r.fingerprint = prep.fingerprint;
         r.cacheStatus = CacheStatus::Hit;
         r.attempts = 0;
 
@@ -329,8 +259,7 @@ tryCacheHit(const BatchJob &job, ResultCache &cache,
             return std::nullopt;
         }
 
-        if (selectedForVerify(prep.effective.fingerprint,
-                              cfg.verifyHitFraction)) {
+        if (selectedForVerify(prep.fingerprint, cfg.verifyHitFraction)) {
             const JobResult fresh = executeJob(job, ctx, cfg);
             r.attempts = fresh.attempts;
             r.durationMs = fresh.durationMs;
@@ -338,7 +267,7 @@ tryCacheHit(const BatchJob &job, ResultCache &cache,
             if (!fresh.ok)
                 diff = "fresh run failed: " + fresh.error;
             else
-                diff = diffSnapshots(fresh.snapshot, r.snapshot);
+                diff = sim::diffRunSnapshots(fresh.snapshot, r.snapshot);
             if (!diff.empty()) {
                 // Either the cache or the engine broke determinism;
                 // both poison the campaign. Hard-fail the job —
@@ -363,75 +292,6 @@ tryCacheHit(const BatchJob &job, ResultCache &cache,
     } catch (const std::exception &) {
         return std::nullopt;
     }
-}
-
-/**
- * One dedup group: jobs whose effective config fingerprints are
- * identical. The lowest index is the leader; FIFO dispatch claims it
- * before any follower, so a follower blocking on the leader's
- * completion can never deadlock the pool.
- */
-struct DedupGroup
-{
-    size_t leader = 0;
-    /** Resolved once in the pre-pass; every member resolves to the
-     *  same workload (same workload string). */
-    workloads::Workload workload;
-
-    void
-    markDone()
-    {
-        {
-            std::lock_guard<std::mutex> lock(m);
-            done = true;
-        }
-        cv.notify_all();
-    }
-
-    void
-    wait()
-    {
-        std::unique_lock<std::mutex> lock(m);
-        cv.wait(lock, [this] { return done; });
-    }
-
-  private:
-    std::mutex m;
-    std::condition_variable cv;
-    bool done = false;
-};
-
-/**
- * Build a follower's result from its dedup leader's successful run.
- * The engine is deterministic, so the leader's snapshot IS what a
- * fresh run of this slot would produce — metrics are recomputed (a
- * pure function of the snapshot) and the follower's OWN pin
- * expectations are re-applied, so a per-slot pin mismatch fails this
- * slot exactly as a fresh run would have.
- */
-JobResult
-fanOutResult(const BatchJob &job, const workloads::Workload &workload,
-             const JobResult &lead)
-{
-    JobResult r;
-    r.name = workload.name;
-    r.suite = workload.suite;
-    r.uri = workload.uri;
-    r.snapshot = lead.snapshot;
-    r.fingerprint = lead.fingerprint;
-    r.deduped = true;
-    r.attempts = 0;
-
-    const std::string pin_error = pinMismatches(job, workload, r);
-    if (!pin_error.empty()) {
-        r.error = pin_error;
-        r.runError = {sim::RunErrorClass::Internal, r.uri, pin_error};
-        return r;
-    }
-    r.metrics = sim::collectMetrics(r.snapshot, workload.name,
-                                    workload.suite);
-    r.ok = true;
-    return r;
 }
 
 } // namespace
@@ -500,54 +360,6 @@ BatchRunner::run(const std::vector<BatchJob> &jobs) const
     if (!cfg.cacheDir.empty())
         cache = std::make_unique<ResultCache>(cfg.cacheDir);
 
-    // Dedup pre-pass: group the jobs of this shard by effective
-    // config fingerprint. Only workload strings appearing more than
-    // once can collide (the fingerprint folds the workload string
-    // in), so resolution — which may read a trace header — is
-    // paid only for duplicated workloads. A group whose resolution
-    // fails is left ungrouped: the execute path reports the failure
-    // per job with its proper classification.
-    std::vector<std::shared_ptr<DedupGroup>> group_of(jobs.size());
-    {
-        std::unordered_map<std::string, std::vector<size_t>>
-            by_workload;
-        for (size_t i = 0; i < jobs.size(); ++i) {
-            if (results[i].skipped)
-                continue;
-            // Capture jobs are never deduped: each must actually run
-            // to produce its capture file.
-            if (!jobs[i].options.captureTracePath.empty())
-                continue;
-            by_workload[jobs[i].workload].push_back(i);
-        }
-        for (auto &[wl, members] : by_workload) {
-            if (members.size() < 2)
-                continue;
-            ScopedFatalThrow fatal_throws;
-            try {
-                const workloads::Workload workload =
-                    workloads::resolveWorkload(wl);
-                std::unordered_map<uint64_t, std::vector<size_t>>
-                    by_fp;
-                for (const size_t i : members) {
-                    by_fp[effectiveConfig(jobs[i], workload).fingerprint]
-                        .push_back(i);
-                }
-                for (auto &[fp, dup] : by_fp) {
-                    if (dup.size() < 2)
-                        continue;
-                    auto grp = std::make_shared<DedupGroup>();
-                    grp->leader = dup.front();  // lowest index
-                    grp->workload = workload;
-                    for (const size_t i : dup)
-                        group_of[i] = grp;
-                }
-            } catch (const std::exception &) {
-                // fall through: members run (and fail) individually
-            }
-        }
-    }
-
     const unsigned workers = effectiveWorkers(jobs.size());
     std::optional<Watchdog> watchdog;
     if (cfg.timeoutMs > 0)
@@ -555,9 +367,11 @@ BatchRunner::run(const std::vector<BatchJob> &jobs) const
     const ExecContext ctx{watchdog ? &*watchdog : nullptr,
                           cfg.timeoutMs};
 
-    // Cache-aware execution of one job on the calling thread:
-    // lookup-before-simulate, store-after-miss. A store that fails
-    // only warns (runner/result_cache.hh, crash contract).
+    // The one path of every in-shard slot, on the calling thread:
+    // cache lookup, then simulate, then store. Jobs that share a
+    // fingerprint each take it; two workers storing one key is safe
+    // (atomic rename, runner/result_cache.hh), and a store that fails
+    // only warns (crash contract).
     auto run_one = [&](const BatchJob &job) -> JobResult {
         if (!cache)
             return executeJob(job, ctx, cfg);
@@ -593,28 +407,7 @@ BatchRunner::run(const std::vector<BatchJob> &jobs) const
                 return;
             if (results[index].skipped)
                 continue;
-            const BatchJob &job = jobs[index];
-            const std::shared_ptr<DedupGroup> &grp = group_of[index];
-
-            JobResult r;
-            if (grp && grp->leader != index) {
-                // Follower: wait for the leader (claimed earlier by
-                // FIFO order) and fan its snapshot out. A failed
-                // leader fans nothing — the follower runs normally
-                // so its slot carries its own classified error.
-                grp->wait();
-                const JobResult &lead = results[grp->leader];
-                if (lead.ok)
-                    r = fanOutResult(job, grp->workload, lead);
-                else
-                    r = run_one(job);
-            } else {
-                r = run_one(job);
-            }
-            results[index] = std::move(r);
-            if (grp && grp->leader == index)
-                grp->markDone();
-
+            results[index] = run_one(jobs[index]);
             if (cfg.onJobDone) {
                 std::lock_guard<std::mutex> lock(done_mutex);
                 cfg.onJobDone(index, results[index]);

@@ -16,8 +16,7 @@
  * ordered by job index — so a batch's output is bit-identical
  * whether it ran on 1 worker or 64, in whatever interleaving. The
  * equivalence is enforced by tests/test_batch_runner.cc, which A/Bs
- * parallel against serial sweeps with timing::diffStats /
- * tol::diffTolStats.
+ * parallel against serial sweeps with sim::diffRunSnapshots.
  *
  * Fault tolerance (docs/robustness.md): a job that fails reports a
  * classified sim::RunError in its slot; it never aborts the batch.
@@ -49,11 +48,10 @@
  *     the jobs whose batch index i satisfies i % N == K, so N
  *     independent processes sharing a cache directory cover a
  *     campaign exactly once. Out-of-shard slots are marked skipped
- *     and never executed,
- *   - intra-batch dedup: jobs with identical effective config
- *     fingerprints simulate once; the leader's snapshot fans out to
- *     every duplicate slot with per-slot pin checks re-applied, so
- *     the batch output stays bit-identical to a serial run.
+ *     and never executed.
+ * Every in-shard slot runs on its own, even when another job in the
+ * batch has the same fingerprint; repeated work across runs is what
+ * the cache serves.
  */
 
 #ifndef DARCO_RUNNER_BATCH_RUNNER_HH
@@ -67,7 +65,6 @@
 
 #include "sim/metrics.hh"
 #include "sim/run_error.hh"
-#include "trace/trace.hh"
 
 namespace darco::runner {
 
@@ -79,14 +76,9 @@ struct BatchJob
     /** Per-job run configuration; a trace workload's capture recipe
      *  is re-applied on top (effectiveOptions). */
     sim::MetricsOptions options;
-    /**
-     * Optional externally pinned determinism expectations: when set,
-     * the finished run must reproduce these fields exactly or the
-     * job fails (structured, batch continues). Pins a trace workload
-     * carries in-file are checked independently of this field.
-     */
-    std::optional<trace::TracePins> expectedPins;
-    /** Verify in-file capture pins of trace workloads (default on). */
+    /** Verify in-file capture pins of trace workloads (default on):
+     *  a run that does not reproduce them fails (structured, the
+     *  batch continues). */
     bool checkCapturedPins = true;
     /**
      * Explicit user overrides applied AFTER the capture recipe
@@ -110,7 +102,7 @@ struct BatchJob
 /** How the result cache participated in one job. */
 enum class CacheStatus : uint8_t
 {
-    /** No cache configured, or slot not executed (skipped/deduped). */
+    /** No cache configured, or slot not executed (skipped). */
     None,
     /** Satisfied from the cache without simulating. */
     Hit,
@@ -136,14 +128,14 @@ struct JobResult
     std::string uri;
 
     /** Raw result + full stats snapshots (the bit-identity currency:
-     *  compare with timing::diffStats / tol::diffTolStats). A
-     *  Timeout failure still carries the partial-run snapshot. */
+     *  compare with sim::diffRunSnapshots). A Timeout failure still
+     *  carries the partial-run snapshot. */
     sim::RunSnapshot snapshot;
     /** Derived figure metrics (sim::collectMetrics of snapshot). */
     sim::BenchMetrics metrics;
 
-    /** Execution attempts made (1 = no retry; 0 = served without
-     *  simulating: an unverified cache hit or a dedup fan-out). */
+    /** Execution attempts made (1 = no retry; 0 = an unverified
+     *  cache hit, served without simulating). */
     unsigned attempts = 0;
     /** Total backoff slept before the final attempt. */
     uint64_t backoffMsApplied = 0;
@@ -159,9 +151,6 @@ struct JobResult
     /** Cache hit that was re-simulated by verify-hits mode and
      *  proven bit-identical. */
     bool verifiedHit = false;
-    /** Satisfied by fanning out a dedup leader's snapshot (attempts
-     *  == 0; per-slot pins were still checked). */
-    bool deduped = false;
     /** Slot not in this runner's shard: never executed, every other
      *  field is default. Consumers must not treat it as a failure. */
     bool skipped = false;
@@ -251,9 +240,9 @@ struct BatchConfig
  * job's options, then a trace's capture recipe
  * (sim::applyCaptureRecipe), then the job's explicit overrides. The
  * one precedence rule for every run, batched or not — the runner's
- * execute path, cache lookup and dedup pre-pass derive their config
- * fingerprint from it, and run_benchmark's single-workload path
- * builds its System from it.
+ * execute path and cache lookup derive their config fingerprint from
+ * it, and run_benchmark's single-workload path builds its System
+ * from it.
  */
 sim::MetricsOptions effectiveOptions(const BatchJob &job,
                                      const workloads::Workload &workload);

@@ -4,9 +4,8 @@
  * that together say whether two runs are the same experiment.
  *
  * The result cache (runner/result_cache.hh) keys every entry on
- * these two names plus the resolved workload URI, and the batch
- * runner's intra-batch dedup groups jobs by the fingerprint. A
- * changed threshold, cache geometry or pipeline flag changes the
+ * these two names plus the resolved workload URI. A changed
+ * threshold, cache geometry or pipeline flag changes the
  * fingerprint; a changed engine changes the version; either makes
  * an old result unusable.
  *

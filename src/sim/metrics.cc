@@ -1,8 +1,35 @@
 #include "sim/metrics.hh"
 
+#include <algorithm>
+
 #include "common/logging.hh"
+#include "timing/pipeline.hh"
+#include "tol/stats.hh"
 
 namespace darco::sim {
+
+namespace {
+
+/** @p lines with each line's leading blanks replaced by
+ *  "<component>.", so a divergence names where it happened. */
+std::string
+named(const char *component, const std::string &lines)
+{
+    std::string out;
+    for (size_t begin = 0; begin < lines.size();) {
+        const size_t end = std::min(lines.find('\n', begin),
+                                    lines.size() - 1) + 1;
+        const size_t text =
+            std::min(lines.find_first_not_of(' ', begin), end);
+        out += component;
+        out += '.';
+        out.append(lines, text, end - text);
+        begin = end;
+    }
+    return out;
+}
+
+} // namespace
 
 SimConfig
 configFromOptions(const MetricsOptions &options)
@@ -19,6 +46,45 @@ configFromOptions(const MetricsOptions &options)
     cfg.captureTracePath = options.captureTracePath;
     cfg.cancel = options.cancel;
     return cfg;
+}
+
+std::string
+diffRunSnapshots(const RunSnapshot &a, const RunSnapshot &b)
+{
+    std::string diff;
+    auto scalar = [&](const char *what, uint64_t va, uint64_t vb) {
+        if (va != vb) {
+            diff += strprintf("%s: %llu != %llu\n", what,
+                              static_cast<unsigned long long>(va),
+                              static_cast<unsigned long long>(vb));
+        }
+    };
+    scalar("guest_retired", a.result.guestRetired, b.result.guestRetired);
+    scalar("halted", a.result.halted, b.result.halted);
+    scalar("sim_cycles", a.result.cycles, b.result.cycles);
+    if (a.timingCore != b.timingCore) {
+        diff += strprintf("timing_core: %s != %s\n", a.timingCore.c_str(),
+                          b.timingCore.c_str());
+    }
+    diff += named("combined", timing::diffStats(a.stats, b.stats));
+    auto pipe = [&](const char *what,
+                    const std::optional<timing::PipeStats> &x,
+                    const std::optional<timing::PipeStats> &y) {
+        if (x.has_value() != y.has_value())
+            diff += strprintf("%s: presence differs\n", what);
+        else if (x)
+            diff += named(what, timing::diffStats(*x, *y));
+    };
+    pipe("tol_only", a.tolOnly, b.tolOnly);
+    pipe("app_only", a.appOnly, b.appOnly);
+    pipe("tol_module", a.tolModule, b.tolModule);
+    diff += named("tol", tol::diffTolStats(a.tolStats, b.tolStats));
+    // diffProfiles already names every line "profile.<field>".
+    if (a.profile.has_value() != b.profile.has_value())
+        diff += "profile: presence differs\n";
+    else if (a.profile)
+        diff += profile::diffProfiles(*a.profile, *b.profile);
+    return diff;
 }
 
 RunSnapshot

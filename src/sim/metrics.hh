@@ -268,11 +268,10 @@ SimConfig configFromOptions(const MetricsOptions &options);
  * Raw outcome of one run: the result plus full stats snapshots.
  * This is the round-trip gates' currency (tests/
  * test_trace_roundtrip.cc, bench/trace_roundtrip.cc): everything
- * needed to prove two runs bit-identical via timing::diffStats and
- * tol::diffTolStats — and, since every figure metric is a pure
- * function of it (collectMetrics below), everything the result
- * cache needs to reconstruct a completed job without re-running it
- * (runner/result_cache.hh).
+ * needed to prove two runs bit-identical via diffRunSnapshots — and,
+ * since every figure metric is a pure function of it (collectMetrics
+ * below), everything the result cache needs to reconstruct a
+ * completed job without re-running it (runner/result_cache.hh).
  */
 struct RunSnapshot
 {
@@ -291,6 +290,20 @@ struct RunSnapshot
      *  same encoding as trace::TracePins::timingCore. */
     std::string timingCore;
 };
+
+/**
+ * Full bit-identity comparison of two snapshots, one line per
+ * divergence (empty = identical). Every line names its component:
+ * the result scalars (guest_retired, halted, sim_cycles),
+ * timing_core, the combined pipe, each optional pipe (tol_only,
+ * app_only, tol_module: presence, then counters), the TolStats and
+ * the profile. Pipes compare as timing::diffStats does, so the
+ * burst bookkeeping (PipeStats::burstCycles) never counts. The one
+ * check every bit-identity gate trades in: verify-hits, the
+ * parallel-vs-serial and kill-and-resume suites, the codec
+ * round-trip and the trace round-trip.
+ */
+std::string diffRunSnapshots(const RunSnapshot &a, const RunSnapshot &b);
 
 /** Snapshot everything a finished System run measured. */
 RunSnapshot snapshotFromSystem(const System &sys,

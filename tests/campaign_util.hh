@@ -1,9 +1,9 @@
 /**
  * @file
- * Helpers shared by the campaign suites (test_result_cache,
- * test_fault_tolerance): small budget-bounded jobs, per-test cache
- * directories, and the per-slot bit-identity check both suites
- * accept results by.
+ * Helpers shared by the batch and campaign suites (test_batch_runner,
+ * test_result_cache, test_fault_tolerance): small budget-bounded
+ * jobs, per-test cache directories, and the per-slot bit-identity
+ * check all three accept results by.
  */
 
 #ifndef DARCO_TESTS_CAMPAIGN_UTIL_HH
@@ -15,18 +15,14 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
-#include <optional>
 #include <string>
 #include <vector>
 
 #include "common/logging.hh"
-#include "profile/profile.hh"
 #include "runner/batch_runner.hh"
 #include "runner/journal.hh"
 #include "runner/result_cache.hh"
 #include "sim/metrics.hh"
-#include "timing/pipeline.hh"
-#include "tol/stats.hh"
 
 namespace darco::testutil {
 
@@ -37,7 +33,7 @@ tempPath(const std::string &name)
 }
 
 inline sim::MetricsOptions
-smallOptions(uint64_t budget)
+smallOptions(uint64_t budget = 120'000)
 {
     sim::MetricsOptions options;
     options.guestBudget = budget;
@@ -106,44 +102,24 @@ countEntries(const std::string &dir)
 }
 
 /**
- * Per-slot bit-identity: the acceptance currency of the cache, the
- * kill-and-resume gate and dedup. Compares every snapshot component,
- * including the optional isolation pipes and the profile.
+ * Per-slot bit-identity between two runs of the same batch: the
+ * acceptance currency of the parallel-vs-serial A/B, the cache and
+ * the kill-and-resume gate. Both slots must be ok and their whole
+ * snapshots identical (sim::diffRunSnapshots).
  */
 inline void
 expectIdenticalSlots(const std::vector<runner::JobResult> &got,
                      const std::vector<runner::JobResult> &want)
 {
     ASSERT_EQ(got.size(), want.size());
-    const auto pipe = [](const std::optional<timing::PipeStats> &a,
-                         const std::optional<timing::PipeStats> &b) {
-        ASSERT_EQ(a.has_value(), b.has_value());
-        if (a) {
-            EXPECT_EQ(timing::diffStats(*a, *b), "");
-        }
-    };
     for (size_t i = 0; i < got.size(); ++i) {
         SCOPED_TRACE(want[i].uri + strprintf(" (job %zu)", i));
-        const sim::RunSnapshot &g = got[i].snapshot;
-        const sim::RunSnapshot &w = want[i].snapshot;
-        EXPECT_TRUE(got[i].ok);
-        EXPECT_TRUE(want[i].ok);
+        EXPECT_TRUE(got[i].ok) << got[i].error;
+        EXPECT_TRUE(want[i].ok) << want[i].error;
         EXPECT_EQ(got[i].name, want[i].name);
         EXPECT_EQ(got[i].suite, want[i].suite);
-        EXPECT_EQ(g.result.guestRetired, w.result.guestRetired);
-        EXPECT_EQ(g.result.cycles, w.result.cycles);
-        EXPECT_EQ(g.result.halted, w.result.halted);
-        EXPECT_EQ(g.timingCore, w.timingCore);
-        EXPECT_EQ(timing::diffStats(g.stats, w.stats), "");
-        pipe(g.tolOnly, w.tolOnly);
-        pipe(g.appOnly, w.appOnly);
-        pipe(g.tolModule, w.tolModule);
-        EXPECT_EQ(tol::diffTolStats(g.tolStats, w.tolStats), "");
-        ASSERT_EQ(g.profile.has_value(), w.profile.has_value());
-        if (g.profile) {
-            EXPECT_EQ(profile::diffProfiles(*g.profile, *w.profile),
-                      "");
-        }
+        EXPECT_EQ(sim::diffRunSnapshots(got[i].snapshot,
+                                        want[i].snapshot), "");
         // Figure metrics are pure functions of the snapshot
         // (sim::collectMetrics); spot-check the headline fields.
         EXPECT_EQ(got[i].metrics.dynSbm, want[i].metrics.dynSbm);

@@ -5,9 +5,11 @@
  * performs zero simulations with every slot bit-identical to the
  * cold run, shards partition a batch exactly once and share a cache,
  * every component of the cache key invalidates, damaged entries are
- * rejected structurally and re-simulated, intra-batch dedup fans a
- * single simulation out bit-identically, verify-hits blesses honest
- * entries and hard-fails forged ones, capture jobs always bypass
+ * rejected structurally and re-simulated, duplicate jobs in one batch
+ * each simulate or hit and leave one entry per key (also when stored
+ * concurrently), sim::diffRunSnapshots names every component that
+ * diverges, verify-hits blesses honest entries and hard-fails forged
+ * ones, capture jobs always bypass
  * the cache while isolation jobs are cached with all three optional
  * pipes, and a store that fails (full disk) leaves no file, keeps the
  * job ok and costs only a re-simulation on the next run.
@@ -20,6 +22,7 @@
 #include <csignal>
 #include <cstdio>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "campaign_util.hh"
@@ -147,19 +150,60 @@ TEST(SnapshotCodec, RoundTripsBitExactly)
     sim::RunSnapshot back;
     ASSERT_TRUE(runner::codec::parseSnapshotFields(line, back));
 
-    EXPECT_EQ(back.result.guestRetired, snap.result.guestRetired);
-    EXPECT_EQ(back.result.cycles, snap.result.cycles);
-    EXPECT_EQ(back.result.halted, snap.result.halted);
-    EXPECT_EQ(back.timingCore, snap.timingCore);
-    EXPECT_EQ(timing::diffStats(back.stats, snap.stats), "");
-    ASSERT_TRUE(back.tolOnly.has_value());
-    EXPECT_EQ(timing::diffStats(*back.tolOnly, *snap.tolOnly), "");
-    EXPECT_FALSE(back.appOnly.has_value());
-    EXPECT_FALSE(back.tolModule.has_value());
-    EXPECT_EQ(tol::diffTolStats(back.tolStats, snap.tolStats), "");
-    ASSERT_TRUE(back.profile.has_value());
-    EXPECT_EQ(profile::diffProfiles(*back.profile, *snap.profile), "");
-    EXPECT_TRUE(*back.profile == *snap.profile);
+    EXPECT_EQ(sim::diffRunSnapshots(back, snap), "");
+    EXPECT_TRUE(back.profile == snap.profile);
+}
+
+TEST(SnapshotDiff, NamesEachComponent)
+{
+    // Every pipe present, so each one's counters can diverge too.
+    sim::RunSnapshot base = denseSnapshot();
+    base.appOnly = timing::PipeStats{};
+    base.tolModule = timing::PipeStats{};
+    ASSERT_EQ(sim::diffRunSnapshots(base, base), "");
+
+    using Perturb = void (*)(sim::RunSnapshot &);
+    const std::pair<const char *, Perturb> cases[] = {
+        {"guest_retired: ",
+         [](sim::RunSnapshot &s) { s.result.guestRetired += 1; }},
+        {"halted: ", [](sim::RunSnapshot &s) { s.result.halted = false; }},
+        {"sim_cycles: ", [](sim::RunSnapshot &s) { s.result.cycles += 1; }},
+        {"timing_core: ",
+         [](sim::RunSnapshot &s) { s.timingCore = "reference"; }},
+        {"combined.l1d.misses: ",
+         [](sim::RunSnapshot &s) { s.stats.l1d.misses += 1; }},
+        {"tol_only: presence differs",
+         [](sim::RunSnapshot &s) { s.tolOnly.reset(); }},
+        {"tol_only.records: ",
+         [](sim::RunSnapshot &s) { s.tolOnly->records += 1; }},
+        {"app_only: presence differs",
+         [](sim::RunSnapshot &s) { s.appOnly.reset(); }},
+        {"app_only.bp.mispredicts: ",
+         [](sim::RunSnapshot &s) { s.appOnly->bp.mispredicts += 1; }},
+        {"tol_module: presence differs",
+         [](sim::RunSnapshot &s) { s.tolModule.reset(); }},
+        {"tol_module.cycles: ",
+         [](sim::RunSnapshot &s) { s.tolModule->cycles += 1; }},
+        {"tol.dynSbm: ", [](sim::RunSnapshot &s) { s.tolStats.dynSbm += 1; }},
+        {"profile: presence differs",
+         [](sim::RunSnapshot &s) { s.profile.reset(); }},
+        {"profile.dataReuse.coldAccesses: ",
+         [](sim::RunSnapshot &s) { s.profile->dataReuse.coldAccesses += 1; }},
+    };
+    for (const auto &[component, perturb] : cases) {
+        SCOPED_TRACE(component);
+        sim::RunSnapshot other = base;
+        perturb(other);
+        const std::string diff = sim::diffRunSnapshots(base, other);
+        EXPECT_NE(diff.find(component), std::string::npos) << diff;
+    }
+
+    // Which host-side path retired the cycles is not part of the
+    // modeled machine (the timing::diffStats contract).
+    sim::RunSnapshot burst = base;
+    burst.stats.burstCycles += 5;
+    burst.tolOnly->burstCycles += 5;
+    EXPECT_EQ(sim::diffRunSnapshots(base, burst), "");
 }
 
 TEST(SnapshotCodec, TamperedEnvelopeFailsAuthentication)
@@ -400,52 +444,78 @@ TEST(DamagedEntries, TornEntryIsRejectedAndResimulated)
 }
 
 // ---------------------------------------------------------------------
-// Intra-batch dedup: duplicate-fingerprint jobs simulate once.
+// Duplicate jobs: every slot takes the one execution path.
 // ---------------------------------------------------------------------
 
-TEST(Dedup, DuplicateJobsSimulateOnceAndFanOutBitIdentically)
+TEST(DuplicateJobs, EachSimulatesAndStoresOneEntry)
 {
     const auto &all = workloads::allBenchmarks();
     const std::string uri_a = workloads::syntheticUri(all[0].name);
     const std::string uri_b = workloads::syntheticUri(all[1].name);
 
-    // Three copies of A, one B, then another A copy — leaders must
-    // be the lowest index of each fingerprint group.
+    // Three copies of A, one B, then A at another budget (a different
+    // fingerprint): three distinct cache keys.
     std::vector<runner::BatchJob> jobs;
     jobs.push_back(makeJob(uri_a, smallOptions(40'000)));
     jobs.push_back(makeJob(uri_a, smallOptions(40'000)));
     jobs.push_back(makeJob(uri_b, smallOptions(40'000)));
     jobs.push_back(makeJob(uri_a, smallOptions(40'000)));
-    // Same workload, different budget: a different fingerprint, so
-    // NOT part of the dedup group.
     jobs.push_back(makeJob(uri_a, smallOptions(60'000)));
 
+    std::vector<runner::JobResult> independent;
+    for (const runner::BatchJob &job : jobs) {
+        independent.push_back(
+            runBatch(std::vector<runner::BatchJob>{job})[0]);
+    }
+
+    // No cache: every slot simulates, bit-identical to running alone.
     for (const unsigned workers : {1u, 4u}) {
-        SCOPED_TRACE(strprintf("%u worker(s)", workers));
+        SCOPED_TRACE(strprintf("%u worker(s), no cache", workers));
         runner::BatchConfig config;
         config.workers = workers;
         const std::vector<runner::JobResult> got =
             runBatch(jobs, config);
-
-        ASSERT_EQ(got.size(), jobs.size());
-        EXPECT_FALSE(got[0].deduped);  // leader simulated
-        EXPECT_GE(got[0].attempts, 1u);
-        EXPECT_TRUE(got[1].deduped);
-        EXPECT_EQ(got[1].attempts, 0u);
-        EXPECT_FALSE(got[2].deduped);  // only B in its group
-        EXPECT_TRUE(got[3].deduped);
-        EXPECT_EQ(got[3].attempts, 0u);
-        EXPECT_FALSE(got[4].deduped);  // different fingerprint
-        EXPECT_GE(got[4].attempts, 1u);
-
-        // Bit-identical to running every slot independently.
-        std::vector<runner::JobResult> independent;
-        for (const runner::BatchJob &job : jobs) {
-            independent.push_back(
-                runBatch(std::vector<runner::BatchJob>{job})[0]);
-        }
+        for (const runner::JobResult &r : got)
+            EXPECT_GE(r.attempts, 1u) << r.uri;
         expectIdenticalSlots(got, independent);
     }
+
+    // A cache at one worker: the first A copy stores, the later ones
+    // find its entry.
+    {
+        const std::string dir = freshCacheDir("duplicate_jobs_serial");
+        runner::BatchConfig config;
+        config.workers = 1;
+        config.cacheDir = dir;
+        const std::vector<runner::JobResult> got =
+            runBatch(jobs, config);
+        EXPECT_EQ(got[0].cacheStatus, runner::CacheStatus::Miss);
+        EXPECT_EQ(got[1].cacheStatus, runner::CacheStatus::Hit);
+        EXPECT_EQ(got[2].cacheStatus, runner::CacheStatus::Miss);
+        EXPECT_EQ(got[3].cacheStatus, runner::CacheStatus::Hit);
+        EXPECT_EQ(got[4].cacheStatus, runner::CacheStatus::Miss);
+        expectIdenticalSlots(got, independent);
+        EXPECT_EQ(countEntries(dir), 3u);
+    }
+
+    // A cache at four workers: the A copies may miss together and
+    // store one key concurrently. Each slot is still ok and
+    // bit-identical, one entry per key lands, and no temp file is
+    // left behind.
+    const std::string dir = freshCacheDir("duplicate_jobs_parallel");
+    runner::BatchConfig config;
+    config.workers = 4;
+    config.cacheDir = dir;
+    expectIdenticalSlots(runBatch(jobs, config), independent);
+    EXPECT_EQ(countEntries(dir), 3u);
+    for (const std::string &file : listFiles(dir))
+        EXPECT_EQ(file.find(".tmp."), std::string::npos) << file;
+
+    // A warm re-run is served entirely from those entries.
+    const std::vector<runner::JobResult> warm = runBatch(jobs, config);
+    for (const runner::JobResult &r : warm)
+        EXPECT_EQ(r.cacheStatus, runner::CacheStatus::Hit) << r.uri;
+    expectIdenticalSlots(warm, independent);
 }
 
 // ---------------------------------------------------------------------
