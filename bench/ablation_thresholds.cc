@@ -18,12 +18,7 @@ main(int argc, char **argv)
     if (args.budget > 2'000'000)
         args.budget = 2'000'000;
 
-    const char *benchmarks[] = {
-        "464.h264ref",     // SPEC INT
-        "436.cactusADM",   // SPEC FP
-        "104.novis_explosions",  // Physics
-        "005.h264enc",     // Media
-    };
+    const auto &benchmarks = workloads::kSuiteRepresentatives;
     const uint32_t thresholds[] = {50, 150, 300, 1000, 3000, 10000};
 
     std::vector<runner::BatchJob> jobs;

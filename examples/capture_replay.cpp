@@ -65,8 +65,9 @@ main(int argc, char **argv)
         replayed.suite);
 
     // 4. The engine is deterministic, so the replay must reproduce
-    //    the live run exactly — the same contract the round-trip CI
-    //    gate (bench/trace_roundtrip) enforces for every suite.
+    //    the live run exactly — the same contract the round-trip
+    //    gate (TraceRoundTrip.ReplayIsBitIdentical) enforces for
+    //    every suite.
     struct Row
     {
         const char *field;

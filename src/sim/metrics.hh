@@ -266,8 +266,8 @@ SimConfig configFromOptions(const MetricsOptions &options);
 
 /**
  * Raw outcome of one run: the result plus full stats snapshots.
- * This is the round-trip gates' currency (tests/
- * test_trace_roundtrip.cc, bench/trace_roundtrip.cc): everything
+ * This is the round-trip gate's currency
+ * (tests/test_trace_roundtrip.cc): everything
  * needed to prove two runs bit-identical via diffRunSnapshots — and,
  * since every figure metric is a pure function of it (collectMetrics
  * below), everything the result cache needs to reconstruct a

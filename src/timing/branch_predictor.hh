@@ -38,6 +38,11 @@ struct BpStats
     }
 };
 
+/** forEachField over every BpStats counter (common/fields.hh). */
+DARCO_FIELD_LIST(BpStats, branches, condBranches, mispredicts,
+                 directionMispredicts, targetMispredicts,
+                 indirectMispredicts)
+
 class BranchPredictor
 {
   public:

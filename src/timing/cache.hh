@@ -33,6 +33,9 @@ struct CacheStats
     }
 };
 
+/** forEachField over every CacheStats counter (common/fields.hh). */
+DARCO_FIELD_LIST(CacheStats, accesses, misses, writebacks, prefetchFills)
+
 class Cache
 {
   public:

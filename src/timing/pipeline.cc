@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <string_view>
+#include <type_traits>
 
 #include "common/bitutils.hh"
 #include "common/logging.hh"
@@ -19,114 +21,64 @@ bucketName(Bucket b)
     return names[static_cast<unsigned>(b)];
 }
 
-const char *
-moduleName(Module m)
+namespace {
+
+/** One numeric leaf of a PipeStats, named by its path. */
+struct Leaf
 {
-    static const char *names[] = {
-        "app", "tol-other", "im", "bbm", "sbm", "chaining", "lookup",
-    };
-    return names[static_cast<unsigned>(m)];
+    std::string path;   ///< "cycles", "l1d.misses", "bucket[1][3]"
+    uint64_t count = 0;
+    double real = 0.0;
+    bool isReal = false;
+};
+
+/** Append every leaf of @p value under @p path, in field-list order. */
+template <typename T>
+void
+flatten(std::vector<Leaf> &out, const std::string &path, const T &value)
+{
+    if constexpr (std::is_same_v<T, uint64_t>) {
+        out.push_back({path, value});
+    } else if constexpr (std::is_same_v<T, double>) {
+        out.push_back({path, 0, value, true});
+    } else if constexpr (requires { std::tuple_size<T>::value; }) {
+        for (size_t i = 0; i < value.size(); ++i)
+            flatten(out, strprintf("%s[%zu]", path.c_str(), i), value[i]);
+    } else {
+        forEachField(value, [&](std::string_view name, const auto &member) {
+            // burstCycles records which host-side dispatch path
+            // retired the cycles (like host seconds, a property of the
+            // core, not of the modeled machine), so it legitimately
+            // differs between the stepped, event and event+burst
+            // cores that diffStats exists to prove identical.
+            if (name == "burstCycles")
+                return;
+            const std::string field(name);
+            flatten(out, path.empty() ? field : path + "." + field, member);
+        });
+    }
 }
+
+} // namespace
 
 std::string
 diffStats(const PipeStats &a, const PipeStats &b)
 {
+    std::vector<Leaf> as, bs;
+    flatten(as, "", a);
+    flatten(bs, "", b);
     std::string diff;
-    char line[160];
-    auto mismatch_u64 = [&](const char *what, uint64_t va,
-                            uint64_t vb) {
-        if (va != vb) {
-            std::snprintf(line, sizeof(line),
-                          "%s: %llu != %llu\n", what,
-                          static_cast<unsigned long long>(va),
-                          static_cast<unsigned long long>(vb));
-            diff += line;
-        }
-    };
-    auto mismatch_f64 = [&](const char *what, unsigned i, unsigned j,
-                            double va, double vb) {
-        if (!(va == vb)) {
-            std::snprintf(line, sizeof(line),
-                          "%s[%u][%u]: %.17g != %.17g\n", what, i, j,
-                          va, vb);
-            diff += line;
-        }
-    };
-
-    auto mismatch_u64_cell = [&](const char *what, unsigned i,
-                                 unsigned j, uint64_t va, uint64_t vb) {
-        if (va != vb) {
-            std::snprintf(line, sizeof(line),
-                          "%s[%u][%u]: %llu != %llu\n", what, i, j,
-                          static_cast<unsigned long long>(va),
-                          static_cast<unsigned long long>(vb));
-            diff += line;
-        }
-    };
-
-    mismatch_u64("cycles", a.cycles, b.cycles);
-    mismatch_u64("records", a.records, b.records);
-    mismatch_u64("unitDenom", a.unitDenom, b.unitDenom);
-    for (unsigned m = 0; m < kNumModules; ++m)
-        mismatch_u64(moduleName(static_cast<Module>(m)), a.insts[m],
-                     b.insts[m]);
-    for (unsigned bk = 0; bk < kNumBuckets; ++bk) {
-        for (unsigned m = 0; m < kNumModules; ++m) {
-            mismatch_u64_cell("bucketUnits", bk, m,
-                              a.bucketUnits[bk][m],
-                              b.bucketUnits[bk][m]);
-            mismatch_f64("bucket", bk, m, a.bucket[bk][m],
-                         b.bucket[bk][m]);
-        }
-        for (unsigned s = 0; s < 2; ++s) {
-            mismatch_u64_cell("bucketSrcUnits", bk, s,
-                              a.bucketSrcUnits[bk][s],
-                              b.bucketSrcUnits[bk][s]);
-            mismatch_f64("bucketSrc", bk, s, a.bucketSrc[bk][s],
-                         b.bucketSrc[bk][s]);
+    for (size_t i = 0; i < as.size(); ++i) {
+        const Leaf &x = as[i], &y = bs[i];
+        if (x.isReal && !(x.real == y.real)) {
+            diff += strprintf("%s: %.17g != %.17g\n", x.path.c_str(),
+                              x.real, y.real);
+        } else if (!x.isReal && x.count != y.count) {
+            diff += strprintf("%s: %llu != %llu\n", x.path.c_str(),
+                              static_cast<unsigned long long>(x.count),
+                              static_cast<unsigned long long>(y.count));
         }
     }
-
-    const CacheStats *cas[] = {&a.l1i, &a.l1d, &a.l2};
-    const CacheStats *cbs[] = {&b.l1i, &b.l1d, &b.l2};
-    const char *cnames[] = {"l1i", "l1d", "l2"};
-    for (unsigned c = 0; c < 3; ++c) {
-        std::string p = cnames[c];
-        mismatch_u64((p + ".accesses").c_str(), cas[c]->accesses,
-                     cbs[c]->accesses);
-        mismatch_u64((p + ".misses").c_str(), cas[c]->misses,
-                     cbs[c]->misses);
-        mismatch_u64((p + ".writebacks").c_str(), cas[c]->writebacks,
-                     cbs[c]->writebacks);
-        mismatch_u64((p + ".prefetchFills").c_str(),
-                     cas[c]->prefetchFills, cbs[c]->prefetchFills);
-    }
-
-    mismatch_u64("tlb.accesses", a.tlb.accesses, b.tlb.accesses);
-    mismatch_u64("tlb.l1Misses", a.tlb.l1Misses, b.tlb.l1Misses);
-    mismatch_u64("tlb.l2Misses", a.tlb.l2Misses, b.tlb.l2Misses);
-
-    mismatch_u64("bp.branches", a.bp.branches, b.bp.branches);
-    mismatch_u64("bp.condBranches", a.bp.condBranches,
-                 b.bp.condBranches);
-    mismatch_u64("bp.mispredicts", a.bp.mispredicts,
-                 b.bp.mispredicts);
-    mismatch_u64("bp.directionMispredicts", a.bp.directionMispredicts,
-                 b.bp.directionMispredicts);
-    mismatch_u64("bp.targetMispredicts", a.bp.targetMispredicts,
-                 b.bp.targetMispredicts);
-    mismatch_u64("bp.indirectMispredicts", a.bp.indirectMispredicts,
-                 b.bp.indirectMispredicts);
-
-    mismatch_u64("prefetch.trains", a.prefetch.trains,
-                 b.prefetch.trains);
-    mismatch_u64("prefetch.prefetches", a.prefetch.prefetches,
-                 b.prefetch.prefetches);
-    // burstCycles is deliberately absent: it records which host-side
-    // dispatch path retired the cycles (like host seconds, a property
-    // of the core, not of the modeled machine), so it legitimately
-    // differs between the stepped, event and event+burst cores that
-    // this function exists to prove identical.
     return diff;
 }
 

@@ -59,10 +59,11 @@ const char *bucketName(Bucket b);
 struct PipeStats;
 
 /**
- * Exact comparison of everything two pipeline instances measured:
- * integers compared as integers, doubles with == (the bit-identical
- * contract, not closeness). Returns a newline-separated description
- * of every mismatching field — empty means identical. The single
+ * Exact comparison of everything two pipeline instances measured,
+ * walking PipeStats' field list: integers compared as integers,
+ * doubles with == (the bit-identical contract, not closeness).
+ * Returns one "<path>: a != b" line per mismatching leaf
+ * ("l1d.misses", "bucket[1][3]") — empty means identical. The single
  * source of truth for the A/B determinism gates (the engine_speed
  * harness and tests/test_timing_ab.cc both use it, so the covered
  * field set cannot drift between them).
@@ -142,6 +143,15 @@ struct PipeStats
                       : 0.0;
     }
 };
+
+/**
+ * forEachField over every PipeStats member (common/fields.hh), the
+ * list diffStats walks: a counter added to PipeStats without a name
+ * here fails to compile.
+ */
+DARCO_FIELD_LIST(PipeStats, cycles, records, burstCycles, insts, unitDenom,
+                 bucketUnits, bucketSrcUnits, bucket, bucketSrc, l1i, l1d,
+                 l2, tlb, bp, prefetch)
 
 class Pipeline : public RecordSink
 {

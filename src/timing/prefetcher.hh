@@ -25,6 +25,9 @@ struct PrefetcherStats
     uint64_t prefetches = 0; ///< L2 fills launched
 };
 
+/** forEachField over every PrefetcherStats counter (common/fields.hh). */
+DARCO_FIELD_LIST(PrefetcherStats, trains, prefetches)
+
 class StridePrefetcher
 {
   public:

@@ -45,8 +45,6 @@ isTol(Module m)
     return m != Module::App;
 }
 
-const char *moduleName(Module m);
-
 /** One dynamically executed host instruction, ready for timing. */
 struct Record
 {

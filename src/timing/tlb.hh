@@ -23,6 +23,9 @@ struct TlbStats
     uint64_t l2Misses = 0;   ///< page walks
 };
 
+/** forEachField over every TlbStats counter (common/fields.hh). */
+DARCO_FIELD_LIST(TlbStats, accesses, l1Misses, l2Misses)
+
 class Tlb
 {
   public:

@@ -106,6 +106,15 @@ const BenchParams *findBenchmark(const std::string &name);
 /** The four paper outliers of §III-D. */
 std::vector<const BenchParams *> outlierBenchmarks();
 
+/**
+ * One representative benchmark per paper suite, in suite order
+ * (SPEC INT, SPEC FP, Physics, Media): the threshold ablation's
+ * grid and the per-suite test sweeps.
+ */
+inline constexpr const char *kSuiteRepresentatives[] = {
+    "464.h264ref", "436.cactusADM", "104.novis_explosions", "005.h264enc",
+};
+
 } // namespace darco::workloads
 
 #endif // DARCO_WORKLOADS_PARAMS_HH

@@ -23,6 +23,7 @@
 #include "sim/metrics.hh"
 #include "timing/pipeline.hh"
 #include "trace/trace.hh"
+#include "workloads/params.hh"
 #include "workloads/source.hh"
 
 using namespace darco;
@@ -47,8 +48,7 @@ readAll(const std::string &path)
 }
 
 /** The representative synthetic set: one per paper suite. */
-const char *kSuiteReps[] = {"464.h264ref", "436.cactusADM",
-                            "104.novis_explosions", "005.h264enc"};
+const auto &kSuiteReps = workloads::kSuiteRepresentatives;
 
 runner::BatchConfig
 withWorkers(unsigned workers)

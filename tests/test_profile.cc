@@ -20,6 +20,7 @@
 #include "profile/profile.hh"
 #include "runner/journal.hh"
 #include "sim/metrics.hh"
+#include "workloads/params.hh"
 #include "workloads/source.hh"
 
 using namespace darco;
@@ -448,8 +449,7 @@ TEST_P(ProfileOracle, AnalyticLruEqualsSimulatedAtTinyCapacity)
 
 INSTANTIATE_TEST_SUITE_P(
     FourSuites, ProfileOracle,
-    testing::Values("464.h264ref", "436.cactusADM",
-                    "104.novis_explosions", "005.h264enc"),
+    testing::ValuesIn(workloads::kSuiteRepresentatives),
     [](const testing::TestParamInfo<const char *> &info) {
         std::string name = info.param;
         for (char &c : name) {

@@ -9,6 +9,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <sstream>
+#include <string>
+#include <type_traits>
+#include <vector>
+
 #include "common/prng.hh"
 #include "timing/branch_predictor.hh"
 #include "timing/cache.hh"
@@ -391,6 +397,69 @@ TEST(Pipeline, AccountingClosesExactly)
     const double src_total = pipe.stats().sourceCycles(false) +
                              pipe.stats().sourceCycles(true);
     EXPECT_NEAR(src_total, static_cast<double>(pipe.stats().cycles), 0.5);
+}
+
+// ----- diffStats ---------------------------------------------------------
+
+namespace {
+
+/** f(path, leaf) for every numeric leaf of @p value, mutable. */
+template <typename T, typename F>
+void
+forEachLeaf(T &value, const std::string &path, F &&f)
+{
+    if constexpr (std::is_arithmetic_v<T>) {
+        f(path, value);
+    } else if constexpr (requires { std::tuple_size<T>::value; }) {
+        for (size_t i = 0; i < value.size(); ++i)
+            forEachLeaf(value[i], path + "[" + std::to_string(i) + "]", f);
+    } else {
+        forEachField(value, [&](std::string_view name, auto &member) {
+            const std::string field(name);
+            forEachLeaf(member, path.empty() ? field : path + "." + field,
+                        f);
+        });
+    }
+}
+
+} // namespace
+
+TEST(PipeStatsDiff, NamesEveryCounter)
+{
+    // Generated from the PipeStats field lists: bumping any one leaf
+    // (every cell of every array) must make diffStats report exactly
+    // that leaf, except burstCycles, which is not compared.
+    const PipeStats base;
+    EXPECT_EQ(diffStats(base, base), "");
+    PipeStats probe;
+    std::vector<std::string> paths;
+    forEachLeaf(probe, "", [&](const std::string &path, auto &) {
+        paths.push_back(path);
+    });
+    for (size_t k = 0; k < paths.size(); ++k) {
+        SCOPED_TRACE(paths[k]);
+        PipeStats bumped;
+        std::ostringstream expected;
+        size_t i = 0;
+        forEachLeaf(bumped, "", [&](const std::string &path, auto &leaf) {
+            if (i++ != k)
+                return;
+            expected << path << ": " << leaf << " != ";
+            leaf += 1;
+            expected << leaf << "\n";
+        });
+        EXPECT_EQ(diffStats(base, bumped),
+                  paths[k] == "burstCycles" ? "" : expected.str());
+    }
+    // The line names other gates and tests match on.
+    for (const char *name :
+         {"cycles", "insts[6]", "unitDenom", "bucketUnits[4][6]",
+          "bucketSrc[0][1]", "l1d.misses", "l2.prefetchFills",
+          "tlb.l2Misses", "bp.branches", "prefetch.prefetches",
+          "burstCycles"}) {
+        EXPECT_NE(std::find(paths.begin(), paths.end(), name), paths.end())
+            << name;
+    }
 }
 
 TEST(Pipeline, FilterDropsOtherSide)

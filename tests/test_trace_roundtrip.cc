@@ -19,6 +19,7 @@
 #include "sim/metrics.hh"
 #include "sim/system.hh"
 #include "trace/trace.hh"
+#include "workloads/params.hh"
 #include "workloads/source.hh"
 
 using namespace darco;
@@ -473,37 +474,21 @@ TEST_P(TraceRoundTrip, ReplayIsBitIdentical)
     const sim::RunSnapshot replay =
         sim::snapshotRun(replayed, sim::MetricsOptions{});
 
-    // The acceptance contract: every determinism field identical.
-    EXPECT_EQ(live.result.guestRetired, replay.result.guestRetired);
-    EXPECT_EQ(live.result.cycles, replay.result.cycles);
-    EXPECT_EQ(live.result.halted, replay.result.halted);
-    EXPECT_EQ(live.stats.records, replay.stats.records);
-    EXPECT_EQ(timing::diffStats(live.stats, replay.stats), "");
-    EXPECT_EQ(tol::diffTolStats(live.tolStats, replay.tolStats), "");
-
-    // And the pins inside the file describe both runs.
-    const trace::TracePins &pins = *replayed.capturedPins;
-    EXPECT_EQ(pins.guestRetired, replay.result.guestRetired);
-    EXPECT_EQ(pins.simCycles, replay.result.cycles);
-    EXPECT_EQ(pins.hostRecords, replay.stats.records);
-    EXPECT_EQ(pins.dynIm, replay.tolStats.dynIm);
-    EXPECT_EQ(pins.dynBbm, replay.tolStats.dynBbm);
-    EXPECT_EQ(pins.dynSbm, replay.tolStats.dynSbm);
-    EXPECT_EQ(pins.bbsTranslated, replay.tolStats.bbsTranslated);
-    EXPECT_EQ(pins.sbsCreated, replay.tolStats.sbsCreated);
-    EXPECT_EQ(pins.guestIndirectBranches,
-              replay.tolStats.guestIndirectBranches);
-    EXPECT_EQ(pins.timingCore, "event");
+    // The acceptance contract: the whole snapshot identical, and the
+    // pins inside the file describe the replay.
+    EXPECT_EQ(sim::diffRunSnapshots(live, replay), "");
+    EXPECT_EQ(trace::diffPins("replay", sim::measuredPins(replay),
+                              *replayed.capturedPins),
+              "");
+    // diffPins skips an empty timing_core pin, so require one.
+    EXPECT_EQ(replayed.capturedPins->timingCore, "event");
 
     std::remove(path.c_str());
 }
 
-// One representative per paper suite (SPEC INT, SPEC FP, Physics,
-// Media) — the same set the threshold ablation uses.
 INSTANTIATE_TEST_SUITE_P(
     FourSuites, TraceRoundTrip,
-    testing::Values("464.h264ref", "436.cactusADM",
-                    "104.novis_explosions", "005.h264enc"),
+    testing::ValuesIn(workloads::kSuiteRepresentatives),
     [](const testing::TestParamInfo<const char *> &info) {
         std::string name = info.param;
         for (char &c : name) {
