@@ -285,125 +285,31 @@ class CpuTimer
     double start;
 };
 
-/** One measured engine scenario (e.g. interpreter-only execution). */
+/**
+ * Host timings of one engine scenario (e.g. interpreter-only
+ * execution). The three counts are the numerators of the rates and
+ * are not written: the simulated quantities live in engine_speed's
+ * stdout rows, checked by the golden.engine_speed ctest.
+ */
 struct ThroughputSample
 {
     std::string name;
     uint64_t guestRetired = 0;   ///< guest instructions simulated
     uint64_t hostRecords = 0;    ///< host-instruction records timed
-    uint64_t cycles = 0;         ///< simulated cycles (determinism key)
+    uint64_t cycles = 0;         ///< simulated cycles
     double seconds = 0;          ///< host process-CPU seconds
     /**
-     * Which timing core actually advanced the clock in the timed run
-     * ("event" / "reference"), recorded from the live pipeline — not
-     * from the requested config — so a silent core switch shows up
-     * in the committed JSON and fails bench/check_perf.py.
-     */
-    std::string timingCore;
-    /**
      * Same scenario re-run on the cycle-stepped reference timing
-     * core (0 = not measured): the in-process A/B that backs the
-     * event_core_speedup field.
+     * core: the in-process A/B that backs the event_core_speedup
+     * field.
      */
     double steppedSeconds = 0;
-    /**
-     * How the scenario was executed: "serial" (alone on the process,
-     * the only mode whose timings are comparable across PRs) or
-     * "parallel" (shared the process with concurrent jobs).
-     * bench/check_perf.py requires "serial" on every committed
-     * engine_speed scenario — see the rationale there.
-     */
-    std::string execution = "serial";
-    /**
-     * Whether characterization profiling (MetricsOptions::profile)
-     * was live during the timed run: "off" or "on". Profiling adds a
-     * stack-distance update per memory access, so a committed perf
-     * baseline with profiling on would not be comparable to any
-     * other; bench/check_perf.py requires "off" on every committed
-     * and fresh engine_speed scenario.
-     */
-    std::string profile = "off";
-    /**
-     * Whether the IR/regalloc verifier (TolConfig::verifyIr) was live
-     * during the timed run: "off" or "on". Verification is a pure
-     * observer (determinism fields cannot change), but it re-derives
-     * dataflow for every translation, so a committed perf baseline
-     * with it on times the verifier on top of the engine;
-     * bench/check_perf.py requires "off" on every committed and fresh
-     * engine_speed scenario.
-     */
-    std::string verify = "off";
-    /**
-     * Whether the event core's burst dispatcher was armed during the
-     * timed run: "on" or "off", read back from the live pipeline
-     * (timing::Pipeline::burstDispatchEnabled), not the requested
-     * config. Burst dispatch is bit-identical by construction, but a
-     * different dispatch engine is a different experiment, so it is
-     * a determinism field in bench/check_perf.py (committed AND
-     * fresh must both say "on").
-     */
-    std::string burst = "on";
-    /**
-     * Fraction of simulated cycles the burst dispatcher retired
-     * (PipeStats::burstFraction). Purely informational for most
-     * scenarios; check_perf.py enforces a floor on the dense
-     * scenarios built to sit in the burst regime, so a predicate
-     * regression that silently stops bursts from forming fails CI.
-     */
-    double burstFraction = 0;
-    /**
-     * Whether the scenario could have been satisfied from a result
-     * cache: "off" or "on". A cache hit skips simulation entirely,
-     * so a committed perf baseline measured with the cache on would
-     * time file I/O instead of the engine; bench/check_perf.py
-     * requires "off" on every committed and fresh engine_speed
-     * scenario.
-     */
-    std::string cache = "off";
-
-    /** Guest MIPS achieved (forward progress per host second). */
-    double
-    guestMips() const
-    {
-        return seconds > 0
-            ? static_cast<double>(guestRetired) / seconds / 1e6 : 0;
-    }
-
-    /** Host-instruction records timed per host second. */
-    double
-    hostInstPerSec() const
-    {
-        return seconds > 0
-            ? static_cast<double>(hostRecords) / seconds : 0;
-    }
-
-    /** Simulated cycles the timing core advanced per host second. */
-    double
-    simCyclesPerSec() const
-    {
-        return seconds > 0
-            ? static_cast<double>(cycles) / seconds : 0;
-    }
-
-    /**
-     * Simulated cycles per timed record (a determinism quantity:
-     * workload character, not host speed).
-     */
-    double
-    cyclesPerRecord() const
-    {
-        return hostRecords > 0
-            ? static_cast<double>(cycles) /
-              static_cast<double>(hostRecords)
-            : 0;
-    }
 };
 
 /**
- * Collects ThroughputSamples and emits BENCH_engine.json so future
- * PRs have a perf trajectory to compare against. If a baseline file
- * (same schema, recorded at an earlier engine state) is supplied, each
- * scenario additionally reports its speedup versus the baseline.
+ * Collects ThroughputSamples and writes BENCH_engine.json: per
+ * scenario, the same-run host timings that bench/check_perf.py
+ * compares with the committed trajectory.
  */
 class ThroughputReporter
 {
@@ -414,14 +320,6 @@ class ThroughputReporter
 
     void add(ThroughputSample sample) { samples.push_back(sample); }
 
-    /** Baseline guest-MIPS for a scenario ( <= 0 means unknown). */
-    void
-    addBaseline(const std::string &scenario, double guest_mips,
-                double host_inst_per_sec)
-    {
-        baselines.push_back({scenario, guest_mips, host_inst_per_sec});
-    }
-
     void
     write(const char *path = "BENCH_engine.json") const
     {
@@ -431,66 +329,23 @@ class ThroughputReporter
         std::fprintf(out, "  \"scenarios\": {\n");
         for (size_t i = 0; i < samples.size(); ++i) {
             const ThroughputSample &s = samples[i];
+            auto rate = [&](uint64_t count) {
+                return s.seconds > 0
+                    ? static_cast<double>(count) / s.seconds : 0.0;
+            };
             std::fprintf(out,
                          "    \"%s\": {\n"
-                         "      \"guest_retired\": %llu,\n"
-                         "      \"host_records\": %llu,\n"
-                         "      \"sim_cycles\": %llu,\n"
-                         "      \"cycles_per_host_record\": %.4f,\n"
                          "      \"seconds\": %.6f,\n"
                          "      \"guest_mips\": %.3f,\n"
                          "      \"host_inst_per_sec\": %.0f,\n"
-                         "      \"sim_cycles_per_sec\": %.0f",
-                         s.name.c_str(),
-                         static_cast<unsigned long long>(s.guestRetired),
-                         static_cast<unsigned long long>(s.hostRecords),
-                         static_cast<unsigned long long>(s.cycles),
-                         s.cyclesPerRecord(), s.seconds, s.guestMips(),
-                         s.hostInstPerSec(), s.simCyclesPerSec());
-            if (!s.timingCore.empty()) {
-                std::fprintf(out, ",\n      \"timing_core\": \"%s\"",
-                             s.timingCore.c_str());
-            }
-            if (!s.execution.empty()) {
-                std::fprintf(out, ",\n      \"execution\": \"%s\"",
-                             s.execution.c_str());
-            }
-            if (!s.profile.empty()) {
-                std::fprintf(out, ",\n      \"profile\": \"%s\"",
-                             s.profile.c_str());
-            }
-            if (!s.verify.empty()) {
-                std::fprintf(out, ",\n      \"verify\": \"%s\"",
-                             s.verify.c_str());
-            }
-            if (!s.cache.empty()) {
-                std::fprintf(out, ",\n      \"cache\": \"%s\"",
-                             s.cache.c_str());
-            }
-            if (!s.burst.empty()) {
-                std::fprintf(out,
-                             ",\n      \"burst\": \"%s\",\n"
-                             "      \"burst_fraction\": %.4f",
-                             s.burst.c_str(), s.burstFraction);
-            }
-            if (s.steppedSeconds > 0) {
-                std::fprintf(out,
-                             ",\n      \"stepped_seconds\": %.6f,\n"
-                             "      \"event_core_speedup\": %.2f",
-                             s.steppedSeconds,
-                             s.steppedSeconds / s.seconds);
-            }
-            for (const Baseline &b : baselines) {
-                if (b.scenario != s.name || b.guestMips <= 0)
-                    continue;
-                std::fprintf(out,
-                             ",\n      \"baseline_guest_mips\": %.3f,\n"
-                             "      \"baseline_host_inst_per_sec\": %.0f,\n"
-                             "      \"speedup_vs_baseline\": %.2f",
-                             b.guestMips, b.hostInstPerSec,
-                             s.guestMips() / b.guestMips);
-            }
-            std::fprintf(out, "\n    }%s\n",
+                         "      \"sim_cycles_per_sec\": %.0f,\n"
+                         "      \"stepped_seconds\": %.6f,\n"
+                         "      \"event_core_speedup\": %.2f\n"
+                         "    }%s\n",
+                         s.name.c_str(), s.seconds,
+                         rate(s.guestRetired) / 1e6, rate(s.hostRecords),
+                         rate(s.cycles), s.steppedSeconds,
+                         s.seconds > 0 ? s.steppedSeconds / s.seconds : 0.0,
                          i + 1 < samples.size() ? "," : "");
         }
         std::fprintf(out, "  }\n}\n");
@@ -499,16 +354,8 @@ class ThroughputReporter
     }
 
   private:
-    struct Baseline
-    {
-        std::string scenario;
-        double guestMips;
-        double hostInstPerSec;
-    };
-
     std::string label;
     std::vector<ThroughputSample> samples;
-    std::vector<Baseline> baselines;
 };
 
 } // namespace darco::bench

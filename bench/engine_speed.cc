@@ -5,9 +5,9 @@
  * modes (pure interpretation, steady-state translated execution, the
  * default mixed pipeline, a stall-heavy memory-bound run, and
  * trace-driven replays of the mixed/stall-heavy workloads) in
- * guest-MIPS, host-records/s and simulated-cycles/s, and emits
- * BENCH_engine.json so every future PR has a perf trajectory to
- * compare against. Workloads resolve through the source registry
+ * guest-MIPS, host-records/s and simulated-cycles/s, and writes those
+ * host timings to BENCH_engine.json (compared by bench/check_perf.py).
+ * Workloads resolve through the source registry
  * (source://synthetic/..., source://trace/...); the trace scenarios
  * capture their input at startup and hard-fail unless the replay
  * reproduces the capture run's pinned determinism fields.
@@ -21,13 +21,12 @@
  * field in the JSON is the load-matched A/B this enforces. See
  * docs/timing-model.md for the equivalence argument.
  *
- * The baseline_* constants below were measured at the commit
- * immediately before the PR-1 hot-path overhaul (seed engine), with
- * the identical harness, budgets, and build flags.
+ * stdout carries one row of simulated quantities per scenario (no
+ * clock-derived value), checked against bench/golden/engine_speed.txt
+ * by the golden.engine_speed ctest.
  */
 
 #include <cinttypes>
-#include <cstring>
 
 #include "bench_util.hh"
 #include "sim/system.hh"
@@ -48,8 +47,6 @@ struct Scenario
     uint64_t budget;
     bool interpretOnly;
     uint32_t sbThreshold;
-    double baselineGuestMips;
-    double baselineHostInstPerSec;
     /** Host issue width (wide-issue scenarios sweep past 2). */
     uint32_t issueWidth = 2;
     /** When set, build the workload directly from these synthetic
@@ -64,9 +61,9 @@ struct Scenario
  * same-line component outcomes — the regime the event core's burst
  * dispatcher retires in bulk. Not one of the 48 paper benchmarks
  * (their ILP is a modeled application characteristic); it exists so
- * the committed trajectory has a scenario where burst coverage is
- * structural, making burst_fraction a meaningful CI floor
- * (check_perf.py) rather than a workload accident.
+ * the golden rows have a scenario where burst coverage is
+ * structural, so its pinned burst_fraction shows a predicate
+ * regression rather than a workload accident.
  */
 const workloads::BenchParams &
 denseLoopParams()
@@ -100,8 +97,8 @@ struct RunOutcome
     trace::TracePins pins;
     double seconds = 0;
     /** Whether a characterization profiler was live in the timed
-     *  System (recorded from the instance, not the requested config,
-     *  so a silent re-route shows up in the committed JSON). */
+     *  System (read back from the instance, not the requested
+     *  config, so a silent re-route cannot go unnoticed). */
     bool profiled = false;
     /** Whether the IR/regalloc verifier was live in the timed System
      *  (same discipline: read back from the live runtime). */
@@ -125,9 +122,9 @@ runScenario(const Scenario &sc, bool event_core, bool verify_ir = false,
     // Perf baselines time the bare engine: the IR/regalloc verifier
     // (default-on under ctest) re-derives dataflow for every
     // translation, which is translation-path work a throughput
-    // trajectory must not include. check_perf.py pins "verify": "off"
-    // on every committed scenario; the verify_ir override exists for
-    // the informational overhead A/B below, which never reaches the
+    // trajectory must not include (main() refuses to report a timed
+    // sample with it live); the verify_ir override exists for the
+    // informational overhead A/B below, which never reaches the
     // reporter.
     options.tolConfig.verifyIr = verify_ir;
     options.timingConfig.eventCore = event_core;
@@ -197,8 +194,8 @@ expectIdentical(const char *scenario, const RunOutcome &stepped,
 {
     // The A/B is only an A/B if the requested cores actually ran:
     // a silent fallback would compare the reference core to itself
-    // and certify nothing (the committed timing_core field plus
-    // check_perf.py guard the same property across PRs).
+    // and certify nothing (the golden timing_core column guards the
+    // same property across changes).
     fatal_if(event.engine != timing::Pipeline::Engine::EventDriven,
              "scenario %s: event-core run fell back to the "
              "reference core",
@@ -221,35 +218,30 @@ int
 main(int argc, char **argv)
 {
     // Budgets are fixed per scenario so results stay comparable
-    // across PRs; parse() still provides --help and arg validation.
-    // No campaign flags: each sample times one run owning the process.
-    bench::BenchArgs::parse(argc, argv, false);
+    // across changes; parse() still provides --help, --csv and arg
+    // validation. No campaign flags: each sample times one run owning
+    // the process.
+    const bench::BenchArgs args = bench::BenchArgs::parse(argc, argv, false);
 
     bench::ThroughputReporter reporter("engine_speed");
 
-    // Baselines: pre-optimization engine (seed src/, Release build,
-    // no IPO/PGO), same harness and budgets, median of 6 interleaved
-    // A/B rounds on the same machine (process CPU time).
     const Scenario scenarios[] = {
         {"interpreter", "source://synthetic/464.h264ref", 250'000,
-         true, 300, 0.947, 18.0e6},
+         true, 300},
         {"translated", "source://synthetic/464.h264ref", 2'000'000,
-         false, 300, 9.093, 19.8e6},
+         false, 300},
         // High-ILP dense kernel (see denseLoopParams above): the
-        // burst dispatcher's structural scenario. No seed baseline
-        // (added with the burst dispatcher); check_perf.py holds its
-        // burst_fraction to a floor.
-        {"dense_loop", "", 2'000'000, false, 300, 0, 0, 2,
-         &denseLoopParams()},
+        // burst dispatcher's structural scenario; its golden row pins
+        // burst_fraction.
+        {"dense_loop", "", 2'000'000, false, 300, 2, &denseLoopParams()},
         {"mixed_464.h264ref", "source://synthetic/464.h264ref",
-         1'000'000, false, 1000, 7.802, 19.9e6},
+         1'000'000, false, 1000},
         // Stall-heavy pointer chasing: most cycles are load-miss or
         // TLB stalls, the regime where the event core advances many
-        // simulated cycles per host op. No seed baseline (added with
-        // the event core); cycles_per_host_record and
-        // sim_cycles_per_sec are its headline columns.
+        // simulated cycles per host op; sim_cycles_per_sec is its
+        // headline column.
         {"stallheavy_429.mcf", "source://synthetic/429.mcf",
-         1'000'000, false, 1000, 0, 0},
+         1'000'000, false, 1000},
         // Wide-issue sweep points: the event core used to silently
         // fall back to the reference core above width 2, so these
         // scenarios exist to pin event_core_speedup > 1 at the
@@ -257,24 +249,20 @@ main(int argc, char **argv)
         // 3 additionally exercises the non-power-of-two fixed-point
         // denominator (lcm(1..3) = 6).
         {"wide3_464.h264ref", "source://synthetic/464.h264ref",
-         1'000'000, false, 1000, 0, 0, 3},
+         1'000'000, false, 1000, 3},
         {"wide4_429.mcf", "source://synthetic/429.mcf", 1'000'000,
-         false, 1000, 0, 0, 4},
+         false, 1000, 4},
         // Trace-driven replay: the same workloads as the mixed and
         // stall-heavy scenarios, sourced from binary traces captured
         // at startup (capture -> replay on every harness run). The
         // replay must reproduce the trace's pinned determinism
-        // fields exactly (runScenario asserts it in-process), so the
-        // committed JSON rows for these scenarios are CI's proof
-        // that trace round-trips stay bit-identical — their
-        // guest_retired/sim_cycles/host_records equal the
-        // mixed_464.h264ref / stallheavy_429.mcf rows by
-        // construction.
+        // fields exactly (runScenario asserts it in-process), and
+        // their golden rows equal the mixed_464.h264ref /
+        // stallheavy_429.mcf rows by construction.
         {"trace_464.h264ref",
-         "source://trace/engine_speed_464.h264ref.dtrc", 0, false, 0,
-         0, 0},
+         "source://trace/engine_speed_464.h264ref.dtrc", 0, false, 0},
         {"trace_429.mcf", "source://trace/engine_speed_429.mcf.dtrc",
-         0, false, 0, 0, 0},
+         0, false, 0},
     };
 
     // Capture the trace scenarios' inputs before any timing: the
@@ -286,65 +274,61 @@ main(int argc, char **argv)
     captureTrace("429.mcf", 1'000'000, 1000,
                  "engine_speed_429.mcf.dtrc");
 
+    // Simulated quantities only (no clock-derived value), one row per
+    // scenario: the golden.engine_speed ctest checks them exactly.
+    Table rows({"scenario", "timing_core", "burst", "guest_retired",
+                "host_records", "sim_cycles", "l1d_accesses", "l1d_misses",
+                "l1i_accesses", "l1i_misses", "l2_accesses", "l2_misses",
+                "tlb_accesses", "tlb_l1_misses", "bp_branches",
+                "bp_mispredicts", "ipc", "burst_fraction"});
     for (const Scenario &sc : scenarios) {
         std::fprintf(stderr, "  running %-20s (A/B) ...\n", sc.name);
         const RunOutcome stepped = runScenario(sc, false);
         const RunOutcome event = runScenario(sc, true);
         expectIdentical(sc.name, stepped, event);
 
+        // Perf samples time the bare engine: a timed run with a
+        // characterization profiler or the IR verifier live times
+        // that layer on top, so it is never reported.
+        fatal_if(event.profiled || stepped.profiled || event.verified ||
+                     stepped.verified,
+                 "scenario %s: profiling or IR verification was live "
+                 "in a timed run",
+                 sc.name);
+
         const timing::PipeStats &ps = event.stats;
+        rows.beginRow();
+        rows.add(sc.name);
+        rows.add(event.engine == timing::Pipeline::Engine::EventDriven
+                     ? "event" : "reference");
+        // Dispatch engine actually armed in the timed event run (the
+        // reference run never bursts by construction).
+        rows.add(event.burst ? "on" : "off");
+        for (uint64_t count :
+             {event.result.guestRetired, ps.records, event.result.cycles,
+              ps.l1d.accesses, ps.l1d.misses, ps.l1i.accesses,
+              ps.l1i.misses, ps.l2.accesses, ps.l2.misses,
+              ps.tlb.accesses, ps.tlb.l1Misses, ps.bp.branches,
+              ps.bp.mispredicts}) {
+            rows.addf("%" PRIu64, count);
+        }
+        rows.addf("%.6f", ps.ipc());
+        rows.addf("%.6f", ps.burstFraction());
+
         bench::ThroughputSample sample;
         sample.name = sc.name;
         sample.guestRetired = event.result.guestRetired;
         sample.hostRecords = ps.records;
         sample.cycles = event.result.cycles;
         sample.seconds = event.seconds;
-        sample.timingCore =
-            event.engine == timing::Pipeline::Engine::EventDriven
-                ? "event" : "reference";
         sample.steppedSeconds = stepped.seconds;
-        // Perf baselines time the bare engine: characterization
-        // profiling must stay off (check_perf.py pins this in the
-        // committed JSON).
-        sample.profile =
-            (event.profiled || stepped.profiled) ? "on" : "off";
-        sample.verify =
-            (event.verified || stepped.verified) ? "on" : "off";
-        // engine_speed drives System directly, never the BatchRunner,
-        // so no result cache can replay a snapshot into a timed run;
-        // the field pins that fact in the committed JSON
-        // (check_perf.py rejects anything but "off").
-        sample.cache = "off";
-        // Dispatch engine actually armed in the timed event run (the
-        // reference run never bursts by construction).
-        sample.burst = event.burst ? "on" : "off";
-        sample.burstFraction = ps.burstFraction();
         reporter.add(sample);
-        if (sc.baselineGuestMips > 0) {
-            reporter.addBaseline(sc.name, sc.baselineGuestMips,
-                                 sc.baselineHostInstPerSec);
-        }
 
-        // Determinism fingerprint: simulated quantities only (no wall
-        // clock). Must not change across speed optimizations.
-        std::fprintf(
-            stderr,
-            "  fingerprint %s: guest=%" PRIu64 " records=%" PRIu64
-            " cycles=%" PRIu64 " l1d=%" PRIu64 "/%" PRIu64
-            " l1i=%" PRIu64 "/%" PRIu64 " l2=%" PRIu64 "/%" PRIu64
-            " tlb=%" PRIu64 "/%" PRIu64 " bp=%" PRIu64 "/%" PRIu64
-            " ipc=%.6f\n",
-            sc.name, event.result.guestRetired, ps.records,
-            event.result.cycles, ps.l1d.accesses, ps.l1d.misses,
-            ps.l1i.accesses, ps.l1i.misses, ps.l2.accesses,
-            ps.l2.misses, ps.tlb.accesses, ps.tlb.l1Misses,
-            ps.bp.branches, ps.bp.mispredicts, ps.ipc());
         std::fprintf(stderr,
                      "  a/b %s: stepped=%.3fs event=%.3fs "
-                     "speedup=%.2fx cycles/record=%.3f\n",
+                     "speedup=%.2fx\n",
                      sc.name, stepped.seconds, event.seconds,
-                     stepped.seconds / event.seconds,
-                     sample.cyclesPerRecord());
+                     stepped.seconds / event.seconds);
     }
 
     // Informational verify:on A/B (never committed): re-run the
@@ -414,6 +398,9 @@ main(int argc, char **argv)
                      with.stats.burstFraction());
     }
 
+    std::printf("=== engine_speed: simulated quantities per scenario "
+                "===\n");
+    bench::renderTable(rows, args);
     reporter.write();
     return 0;
 }

@@ -51,8 +51,6 @@ usage()
         "options:\n"
         "  --budget=N        guest instructions (default 2000000)\n"
         "  --sb-threshold=N  BB->SB threshold (default: budget-scaled)\n"
-        "  --require-hits    fail unless every executed workload was\n"
-        "                    a cache hit (warm-rerun assertion)\n"
         "  --capture=PATH    snapshot the run to a replayable trace\n"
         "  --cosim           verify against the authoritative emulator\n"
         "  --no-chaining --no-ibtc --no-bbm-opts --no-sbm-opts\n"
@@ -121,7 +119,6 @@ main(int argc, char **argv)
     bool dump_hottest = false;
     bool toggled = false;
     runner::BatchConfig config;
-    bool require_hits = false;
 
     for (const std::string &arg :
          runner::parseCampaignFlags(argc, argv, config)) {
@@ -133,8 +130,6 @@ main(int argc, char **argv)
             job.guestBudgetOverride = runner::parseCount(
                 "--budget", arg.substr(9),
                 std::numeric_limits<uint64_t>::max());
-        } else if (arg == "--require-hits") {
-            require_hits = true;
         } else if (arg.rfind("--capture=", 0) == 0) {
             job.options.captureTracePath = arg.substr(10);
         } else if (arg.rfind("--sb-threshold=", 0) == 0) {
@@ -181,12 +176,6 @@ main(int argc, char **argv)
         }
     }
 
-    if (require_hits && config.cacheDir.empty()) {
-        std::fprintf(stderr,
-                     "--require-hits needs --cache-dir=\n");
-        return 1;
-    }
-
     // The budget-scaled threshold is the default; a trace's capture
     // recipe replaces the budget and thresholds, and --budget and
     // --sb-threshold win over both (runner::effectiveOptions). Its
@@ -225,7 +214,7 @@ main(int argc, char **argv)
                      pool.effectiveWorkers(batch.size()));
 
         bool all_ok = true;
-        size_t hits = 0, misses = 0, bypasses = 0, executed = 0;
+        size_t hits = 0, misses = 0, bypasses = 0;
         std::printf("%-24s %-10s %12s %12s %7s %6s %7s\n", "workload",
                     "suite", "guest insts", "cycles", "IPC", "halt",
                     "cache");
@@ -234,7 +223,6 @@ main(int argc, char **argv)
             // same campaign: no line, no exit-code influence.
             if (r.skipped)
                 continue;
-            ++executed;
             const char *cache_col = "-";
             switch (r.cacheStatus) {
               case runner::CacheStatus::Hit:
@@ -291,13 +279,6 @@ main(int argc, char **argv)
                             ? 100.0 * static_cast<double>(hits) /
                                   static_cast<double>(looked_up)
                             : 0.0);
-            if (require_hits && hits != executed) {
-                std::fprintf(stderr,
-                             "--require-hits: %zu of %zu executed "
-                             "workload(s) were not cache hits\n",
-                             executed - hits, executed);
-                all_ok = false;
-            }
         }
         return all_ok ? 0 : 1;
     }

@@ -23,7 +23,7 @@
  *
  * All three are pure observers: they never mutate the trace, charge
  * no cost-model work, and emit no records, so enabling verification
- * cannot change any determinism field (bench/check_perf.py relies on
+ * cannot change any determinism field (bench/engine_speed asserts
  * this). The check*() wrappers raise the findings as a classified
  * fatal_kind(ErrKind::Internal) through the error taxonomy
  * (sim/run_error.hh), so a batch campaign reports a miscompile as a

@@ -368,21 +368,35 @@ BatchRunner::run(const std::vector<BatchJob> &jobs) const
                           cfg.timeoutMs};
 
     // The one path of every in-shard slot, on the calling thread:
-    // cache lookup, then simulate, then store. Jobs that share a
+    // cache lookup, then simulate (unless requireHits forbids it),
+    // then store. Jobs that share a
     // fingerprint each take it; two workers storing one key is safe
     // (atomic rename, runner/result_cache.hh), and a store that fails
     // only warns (crash contract).
     auto run_one = [&](const BatchJob &job) -> JobResult {
         if (!cache)
             return executeJob(job, ctx, cfg);
-        if (cacheBypass(job)) {
+        const bool bypass = cacheBypass(job);
+        if (!bypass) {
+            if (std::optional<JobResult> hit =
+                    tryCacheHit(job, *cache, ctx, cfg)) {
+                return std::move(*hit);
+            }
+        }
+        if (cfg.requireHits) {
+            JobResult r;
+            r.uri = job.workload;
+            r.cacheStatus = bypass ? CacheStatus::Bypass : CacheStatus::Miss;
+            r.runError = {sim::RunErrorClass::Internal, r.uri,
+                          "require-hits: the result cache did not "
+                          "serve this job"};
+            r.error = r.runError.describe();
+            return r;
+        }
+        if (bypass) {
             JobResult r = executeJob(job, ctx, cfg);
             r.cacheStatus = CacheStatus::Bypass;
             return r;
-        }
-        if (std::optional<JobResult> hit =
-                tryCacheHit(job, *cache, ctx, cfg)) {
-            return std::move(*hit);
         }
         JobResult r = executeJob(job, ctx, cfg);
         r.cacheStatus = CacheStatus::Miss;

@@ -201,8 +201,7 @@ struct BatchConfig
      * watchdog. A job past its deadline is cancelled cooperatively
      * at the next record-batch boundary and fails with Timeout,
      * partial metrics attached (common/cancel.hh). Overrides any
-     * options.cancel the job supplied. Must be 0 for perf-baseline
-     * runs (bench/check_perf.py).
+     * options.cancel the job supplied.
      */
     uint64_t timeoutMs = 0;
     /** Extra from-scratch attempts for jobs whose RunError is
@@ -219,8 +218,7 @@ struct BatchConfig
      * fingerprint, engine version) before simulating, and successful
      * simulations are published back via atomic rename
      * (runner/result_cache.hh). It is also the resume path: re-run
-     * a crashed campaign with the same directory. Must be "" for
-     * perf-baseline runs (bench/check_perf.py).
+     * a crashed campaign with the same directory.
      */
     std::string cacheDir;
     /**
@@ -233,6 +231,13 @@ struct BatchConfig
      * and both poison the campaign.
      */
     double verifyHitFraction = 0.0;
+    /**
+     * Warm-rerun assertion: every in-shard job must be a cache hit.
+     * A job the cache cannot serve fails (Internal, never retried)
+     * without simulating, so a campaign that silently re-simulated
+     * cannot pass. Needs cacheDir.
+     */
+    bool requireHits = false;
 };
 
 /**

@@ -27,7 +27,10 @@ const char *const kCampaignFlagsHelp =
     "                    campaign exactly once\n"
     "  --verify-hits=F   re-simulate fraction F in [0,1] of cache hits\n"
     "                    and fail unless bit-identical (needs\n"
-    "                    --cache-dir)\n";
+    "                    --cache-dir)\n"
+    "  --require-hits    fail every job the cache does not serve,\n"
+    "                    without simulating it (warm-rerun\n"
+    "                    assertion; needs --cache-dir)\n";
 
 namespace {
 
@@ -104,13 +107,16 @@ parseCampaignFlags(int argc, const char *const *argv, BatchConfig &config)
                      v);
             config.verifyHitFraction = f;
             verify_set = true;
+        } else if (arg == "--require-hits") {
+            config.requireHits = true;
         } else {
             rest.push_back(arg);
         }
     }
-    fatal_if(verify_set && config.cacheDir.empty(),
-             "--verify-hits needs --cache-dir: it audits cache hits, "
-             "and without a cache there are none");
+    fatal_if((verify_set || config.requireHits) &&
+                 config.cacheDir.empty(),
+             "--verify-hits and --require-hits need --cache-dir: they "
+             "concern cache hits, and without a cache there are none");
     return rest;
 }
 

@@ -2,10 +2,10 @@
  * @file
  * The campaign flags every batch-capable command line shares, parsed
  * in one place into a runner::BatchConfig: --jobs, --timeout,
- * --retries, --shard, --cache-dir and --verify-hits. The figure
- * benches (bench/bench_util.hh) and run_benchmark both call
- * parseCampaignFlags, so the two tools accept and reject exactly the
- * same spellings.
+ * --retries, --shard, --cache-dir, --verify-hits and --require-hits.
+ * The figure benches (bench/bench_util.hh) and run_benchmark both
+ * call parseCampaignFlags, so the two tools accept and reject exactly
+ * the same spellings.
  */
 
 #ifndef DARCO_RUNNER_CAMPAIGN_FLAGS_HH
@@ -28,8 +28,8 @@ extern const char *const kCampaignFlagsHelp;
  * A malformed value fatal()s: a non-numeric count or trailing
  * characters (--jobs=4x, --shard=0/3x), a shard index not below its
  * count, a --verify-hits fraction that is not a number in [0,1], an
- * empty --cache-dir, and --verify-hits without --cache-dir. A typo
- * must never silently run a different campaign.
+ * empty --cache-dir, and --verify-hits or --require-hits without
+ * --cache-dir. A typo must never silently run a different campaign.
  */
 std::vector<std::string> parseCampaignFlags(int argc,
                                             const char *const *argv,

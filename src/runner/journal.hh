@@ -31,7 +31,7 @@ namespace darco::runner {
  * are ignored. Bump whenever a change could alter any measured
  * quantity (same discipline as the perf baselines).
  */
-constexpr const char *kJournalEngineVersion = "darco-engine-4";
+constexpr const char *kJournalEngineVersion = "darco-engine-5";
 
 /**
  * Hash the effective experiment definition: every field the

@@ -45,10 +45,10 @@ struct SimConfig
 
     /**
      * Cooperative cancellation (nullptr = never cancelled; the
-     * default, and the only legal value for perf-baseline runs —
-     * see bench/check_perf.py). Not part of the determinism key: it
-     * changes when a run stops, never what the completed work
-     * measured. The token must outlive System::run().
+     * default, and the only legal value for perf-baseline runs,
+     * which take no campaign flags). Not part of the determinism
+     * key: it changes when a run stops, never what the completed
+     * work measured. The token must outlive System::run().
      */
     const common::CancelToken *cancel = nullptr;
 
@@ -57,7 +57,7 @@ struct SimConfig
      * branch profile; src/profile/) from the record stream. Off by
      * default: no collector sink is registered, so the hot path is
      * byte-for-byte the unprofiled one — perf baselines must keep it
-     * off (bench/check_perf.py asserts `"profile":"off"`).
+     * off (bench/engine_speed fails on a timed run with it on).
      */
     bool profile = false;
 

@@ -66,7 +66,7 @@ class System
     /**
      * The core that actually advanced simulated time, so harnesses
      * can record it next to the measurements (a silent core switch
-     * invalidates perf comparisons; see bench/check_perf.py).
+     * invalidates perf comparisons; see bench/engine_speed.cc).
      */
     timing::Pipeline::Engine timingEngine() const
     {

@@ -49,8 +49,7 @@ struct TolConfig
      * charge, no records, so determinism fields are unaffected — only
      * host wall-clock. Default-on so every ctest run verifies every
      * translation; perf harnesses turn it off for timed scenarios
-     * (bench/check_perf.py requires verification off on committed
-     * baselines).
+     * (bench/engine_speed fails on a timed run with it on).
      */
     bool verifyIr = true;
 

@@ -374,7 +374,7 @@ TEST(CampaignFlags, ParsesIntoBatchConfigAndPassesTheRestThrough)
     const std::vector<std::string> rest = parseFlags(
         {"--budget=5", "--jobs=3", "--timeout=250", "--retries=2",
          "--shard=1/3", "--cache-dir=some/dir", "--verify-hits=0.25",
-         "429.mcf"},
+         "--require-hits", "429.mcf"},
         config);
     EXPECT_EQ(rest, (std::vector<std::string>{"--budget=5", "429.mcf"}));
     EXPECT_EQ(config.workers, 3u);
@@ -384,6 +384,7 @@ TEST(CampaignFlags, ParsesIntoBatchConfigAndPassesTheRestThrough)
     EXPECT_EQ(config.shard.count, 3u);
     EXPECT_EQ(config.cacheDir, "some/dir");
     EXPECT_EQ(config.verifyHitFraction, 0.25);
+    EXPECT_TRUE(config.requireHits);
 
     // Both ends of the verify-hits range are valid.
     for (const char *f : {"--verify-hits=0", "--verify-hits=1"}) {
@@ -404,6 +405,7 @@ TEST(CampaignFlags, RejectsEachBadInput)
         {"--cache-dir=d", "--verify-hits="},
         // Used to be silently ignored.
         {"--verify-hits=1"},
+        {"--require-hits"},
         // Trailing characters used to be accepted.
         {"--shard=0/3x"},
         {"--shard=0x/3"},

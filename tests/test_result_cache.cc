@@ -9,7 +9,8 @@
  * each simulate or hit and leave one entry per key (also when stored
  * concurrently), sim::diffRunSnapshots names every component that
  * diverges, verify-hits blesses honest entries and hard-fails forged
- * ones, capture jobs always bypass
+ * ones, require-hits fails every job a cold cache cannot serve and
+ * passes a warm one, capture jobs always bypass
  * the cache while isolation jobs are cached with all three optional
  * pipes, and a store that fails (full disk) leaves no file, keeps the
  * job ok and costs only a re-simulation on the next run.
@@ -576,6 +577,39 @@ TEST(VerifyHits, ForgedEntryHardFailsUnderVerification)
     EXPECT_FALSE(audited[0].verifiedHit);
     EXPECT_EQ(audited[0].runError.cls, sim::RunErrorClass::Internal);
     EXPECT_NE(audited[0].error.find("verify-hits"), std::string::npos);
+}
+
+// ---------------------------------------------------------------------
+// Require-hits: a job the cache cannot serve fails without simulating.
+// ---------------------------------------------------------------------
+
+TEST(RequireHits, ColdCacheFailsEachJobAndWarmCachePasses)
+{
+    const std::string dir = freshCacheDir("result_cache_require_hits");
+    const std::vector<runner::BatchJob> jobs = smallCampaign(3);
+    runner::BatchConfig config;
+    config.cacheDir = dir;
+    config.requireHits = true;
+
+    for (const runner::JobResult &r : runBatch(jobs, config)) {
+        EXPECT_FALSE(r.ok);
+        EXPECT_EQ(r.cacheStatus, runner::CacheStatus::Miss);
+        EXPECT_EQ(r.runError.cls, sim::RunErrorClass::Internal);
+        EXPECT_NE(r.error.find("require-hits"), std::string::npos);
+        // Refused, not simulated: nothing ran and nothing was stored.
+        EXPECT_EQ(r.attempts, 0u);
+    }
+    EXPECT_EQ(countEntries(dir), 0u);
+
+    config.requireHits = false;
+    const std::vector<runner::JobResult> cold = runBatch(jobs, config);
+    config.requireHits = true;
+    const std::vector<runner::JobResult> warm = runBatch(jobs, config);
+    for (const runner::JobResult &r : warm) {
+        EXPECT_TRUE(r.ok) << r.error;
+        EXPECT_EQ(r.cacheStatus, runner::CacheStatus::Hit);
+    }
+    expectIdenticalSlots(warm, cold);
 }
 
 // ---------------------------------------------------------------------

@@ -457,8 +457,9 @@ TEST(BurstBoundary, IMissCompletionMidWindow)
         const AbTriple ab =
             runAb(stream, true, Pipeline::Filter::All, width);
         EXPECT_GT(ab.burst.l1i.misses, 500u) << "width " << width;
-        if (width <= 4)
+        if (width <= 4) {
             EXPECT_GT(ab.burst.burstCycles, 0u) << "width " << width;
+        }
     }
 }
 

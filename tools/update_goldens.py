@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Golden figure outputs: check them, and regenerate them with a version bump.
+"""Golden bench outputs: check them, and regenerate them with a version bump.
 
 bench/golden/<bench>.txt is the stdout of each bench in
 bench/golden/manifest.txt at that file's arguments (README "Goldens").
@@ -9,7 +9,12 @@ keys every result-cache entry) with a digest of the goldens and of
 perfbench/pins.txt. `update` refuses to rewrite a version's line, so
 changed outputs cannot land without a version bump.
 
-Usage (paths resolve relative to the repo root, so run from anywhere):
+Every bench runs in a throwaway working directory, so files it writes
+to its CWD (engine_speed's BENCH_engine.json and trace captures) never
+land in the tree; give any path in EXTRA_ARG as an absolute path.
+
+Usage (the goldens resolve relative to the repo root, so run from
+anywhere):
 
   update_goldens.py check BENCH_EXE [EXTRA_ARG...]
       Run one manifest bench with its manifest args plus EXTRA_ARG
@@ -33,6 +38,7 @@ import hashlib
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
@@ -65,9 +71,12 @@ def read_manifest():
 
 
 def run_bench(exe, args):
-    """The bench's stdout; a non-zero exit is a failure of its own."""
-    proc = subprocess.run([str(exe), *args], stdout=subprocess.PIPE,
-                          stderr=subprocess.PIPE, check=False)
+    """The bench's stdout, run in a throwaway working directory; a
+    non-zero exit is a failure of its own."""
+    with tempfile.TemporaryDirectory(prefix="golden-") as cwd:
+        proc = subprocess.run([str(Path(exe).resolve()), *args],
+                              cwd=cwd, stdout=subprocess.PIPE,
+                              stderr=subprocess.PIPE, check=False)
     if proc.returncode != 0:
         fail(f"{exe} {' '.join(args)} exited {proc.returncode}:\n"
              + proc.stderr.decode(errors="replace")[-4000:])
