@@ -43,22 +43,40 @@ struct BenchArgs
      */
     runner::BatchConfig campaign;
 
+    /** The shared flags a bench accepts; each level adds to the last. */
+    enum class Flags
+    {
+        /** --csv only: the bench runs fixed workloads at fixed
+         *  budgets (engine_speed, table1_config). */
+        Csv,
+        /** Also --budget=, --suite=, --benchmark= and DARCO_BUDGET:
+         *  a serial bench over selected workloads (fig_cfg). */
+        Workloads,
+        /** Also the campaign flags: a bench that runs through
+         *  runJobs. */
+        Campaign,
+    };
+
     /**
-     * Parse the shared bench arguments. Benches that run through
-     * runJobs pass @p campaign_flags = true and accept the campaign
-     * flags; the others reject them as unknown arguments rather than
-     * silently ignoring a flag they cannot honour.
+     * Parse the shared bench arguments. A flag outside @p accepts is
+     * rejected as an unknown argument, and a set DARCO_BUDGET is
+     * rejected under Flags::Csv, rather than silently ignoring what
+     * the bench cannot honour.
      */
     static BenchArgs
-    parse(int argc, char **argv, bool campaign_flags = true)
+    parse(int argc, char **argv, Flags accepts = Flags::Campaign)
     {
         BenchArgs args;
         constexpr uint64_t kMaxBudget =
             std::numeric_limits<uint64_t>::max();
-        if (const char *env = std::getenv("DARCO_BUDGET"))
+        const bool fixed = accepts == Flags::Csv;
+        if (const char *env = std::getenv("DARCO_BUDGET")) {
+            fatal_if(fixed, "DARCO_BUDGET is set, but this bench runs "
+                            "fixed budgets and takes only --csv");
             args.budget = runner::parseCount("DARCO_BUDGET", env, kMaxBudget);
+        }
         const std::vector<std::string> rest =
-            campaign_flags
+            accepts == Flags::Campaign
                 ? runner::parseCampaignFlags(argc, argv, args.campaign)
                 : std::vector<std::string>(argv + 1, argv + argc);
         for (const std::string &arg : rest) {
@@ -68,15 +86,13 @@ struct BenchArgs
                     return arg.c_str() + len;
                 return nullptr;
             };
-            if (const char *v = value("--budget="))
-                args.budget = runner::parseCount("--budget", v, kMaxBudget);
-            else if (const char *v2 = value("--suite="))
-                args.suite = v2;
-            else if (const char *v3 = value("--benchmark="))
-                args.benchmark = v3;
-            else if (arg == "--csv")
+            if (arg == "--csv") {
                 args.csv = true;
-            else if (arg == "--help" || arg == "-h") {
+            } else if (arg == "--help" || arg == "-h") {
+                if (fixed) {
+                    std::printf("options: --csv\n");
+                    std::exit(0);
+                }
                 std::printf(
                     "options: --budget=N --suite=NAME --benchmark=NAME "
                     "--csv\n  suites: 'SPEC INT', 'SPEC FP', "
@@ -84,11 +100,20 @@ struct BenchArgs
                     "or a workload URI\n    (source://synthetic/<name>, "
                     "source://trace/<file>)\n"
                     "  env: DARCO_BUDGET\n");
-                if (campaign_flags) {
+                if (accepts == Flags::Campaign) {
                     std::printf("campaign options:\n");
                     std::fputs(runner::kCampaignFlagsHelp, stdout);
                 }
                 std::exit(0);
+            } else if (fixed) {
+                fatal("unknown argument: %s (this bench runs fixed "
+                      "workloads and takes only --csv)", arg.c_str());
+            } else if (const char *v = value("--budget=")) {
+                args.budget = runner::parseCount("--budget", v, kMaxBudget);
+            } else if (const char *v2 = value("--suite=")) {
+                args.suite = v2;
+            } else if (const char *v3 = value("--benchmark=")) {
+                args.benchmark = v3;
             } else {
                 fatal("unknown argument: %s", arg.c_str());
             }

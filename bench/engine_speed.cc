@@ -218,10 +218,11 @@ int
 main(int argc, char **argv)
 {
     // Budgets are fixed per scenario so results stay comparable
-    // across changes; parse() still provides --help, --csv and arg
-    // validation. No campaign flags: each sample times one run owning
-    // the process.
-    const bench::BenchArgs args = bench::BenchArgs::parse(argc, argv, false);
+    // across changes, so parse() accepts only --csv (and --help) and
+    // rejects the workload and campaign flags: each sample times one
+    // fixed run owning the process.
+    const bench::BenchArgs args = bench::BenchArgs::parse(
+        argc, argv, bench::BenchArgs::Flags::Csv);
 
     bench::ThroughputReporter reporter("engine_speed");
 

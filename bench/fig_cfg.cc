@@ -49,7 +49,8 @@ domDepth(const an::Cfg &cfg, size_t block)
 int
 main(int argc, char **argv)
 {
-    const BenchArgs args = BenchArgs::parse(argc, argv, false);
+    const BenchArgs args =
+        BenchArgs::parse(argc, argv, BenchArgs::Flags::Workloads);
 
     struct Row
     {

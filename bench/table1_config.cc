@@ -13,7 +13,7 @@ int
 main(int argc, char **argv)
 {
     const bench::BenchArgs args =
-        bench::BenchArgs::parse(argc, argv, false);
+        bench::BenchArgs::parse(argc, argv, bench::BenchArgs::Flags::Csv);
     const timing::TimingConfig c;
 
     std::printf("=== Table I: host processor microarchitectural "

@@ -20,6 +20,7 @@
 #include <cmath>
 #include <cstdint>
 #include <map>
+#include <unordered_map>
 
 #include "timing/branch_predictor.hh"
 #include "timing/record.hh"
@@ -172,7 +173,13 @@ struct BranchProfile
     }
 };
 
-/** Online collector: feed branch records in stream order. */
+/**
+ * Online collector: feed branch records in stream order. Per dynamic
+ * branch it does one hash lookup (the site index below) plus the
+ * replica prediction; the ordered site map is touched only on a
+ * site's first execution. Non-copyable: the index points into the
+ * collector's own profile.
+ */
 class BranchCollector
 {
   public:
@@ -180,18 +187,25 @@ class BranchCollector
         : cfg(config), predictor(cfg)
     {}
 
+    BranchCollector(const BranchCollector &) = delete;
+    BranchCollector &operator=(const BranchCollector &) = delete;
+
     /** Record one executed control transfer (rec.isBranch). */
     void
     branch(const timing::Record &rec)
     {
-        BranchSite &site = prof.sites[rec.pc];
+        const auto [it, first] = siteIndex.try_emplace(rec.pc);
+        SiteState &state = it->second;
+        if (first)
+            state.site = &prof.sites[rec.pc];
+        BranchSite &site = *state.site;
         site.isCond = rec.isCondBranch;
         site.isIndirect = rec.isIndirect;
         if (rec.isCondBranch && site.execs() &&
-            lastTaken[rec.pc] != rec.taken) {
+            state.lastTaken != rec.taken) {
             ++site.transitions;
         }
-        lastTaken[rec.pc] = rec.taken;
+        state.lastTaken = rec.taken;
         if (rec.taken)
             ++site.taken;
         else
@@ -210,12 +224,18 @@ class BranchCollector
     const BranchProfile &profile() const { return prof; }
 
   private:
+    /** Collector state per site (not part of the profile). */
+    struct SiteState
+    {
+        BranchSite *site = nullptr; ///< node in prof.sites (stable)
+        bool lastTaken = false;     ///< previous direction
+    };
+
     /** Own the config: BranchPredictor keeps a reference to it. */
     timing::TimingConfig cfg;
     timing::BranchPredictor predictor;
     BranchProfile prof;
-    /** Previous direction per site (collector state, not profile). */
-    std::map<uint32_t, bool> lastTaken;
+    std::unordered_map<uint32_t, SiteState> siteIndex;
 };
 
 } // namespace darco::profile

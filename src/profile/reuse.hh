@@ -15,10 +15,14 @@
  * Mattson's stack algorithm. Each line's most recent access time is
  * marked in a Fenwick (binary indexed) tree; the stack distance of a
  * re-access is the count of marked times newer than the line's own
- * mark — one prefix-sum difference, O(log N) per access instead of
- * the naive stack scan's O(N). Time slots are compacted in place
- * whenever the tree is mostly dead marks, so memory stays
- * O(distinct lines), not O(accesses).
+ * mark. Every tracked line holds exactly one mark, so that count is
+ * distinctLines() minus the marks at or before the line's own — one
+ * prefix walk, O(log N) per access instead of the naive stack scan's
+ * O(N). Per access the engine does one hash lookup (the line's mark is
+ * updated in place), one prefix walk, two point updates and, for the
+ * common small distances, one increment of a dense counter vector.
+ * Time slots are compacted in place whenever the tree is mostly dead
+ * marks, so memory stays O(distinct lines), not O(accesses).
  */
 
 #ifndef DARCO_PROFILE_REUSE_HH
@@ -83,7 +87,7 @@ class ReuseStack
     void access(uint64_t line);
 
     /** Histogram accumulated so far. */
-    const ReuseHistogram &histogram() const { return hist; }
+    ReuseHistogram histogram() const;
 
     /** Distinct lines currently tracked. */
     uint64_t distinctLines() const { return lastAccess.size(); }
@@ -96,8 +100,19 @@ class ReuseStack
     /** Remap live time slots to 1..D and rebuild the tree. */
     void compact();
 
+    /** Cold accesses, and the distances too large for smallCounts. */
     ReuseHistogram hist;
-    /** line -> its most recent (marked) access time, 1-based. */
+    /**
+     * smallCounts[d] = accesses at distance d, for d below a fixed
+     * bound; grown on demand and folded into the histogram's map only
+     * by histogram(), so the common case is one array increment.
+     */
+    std::vector<uint64_t> smallCounts;
+    /**
+     * line -> its most recent (marked) access time, 1-based. 0 is the
+     * dead sentinel of the line being accessed, between removing its
+     * old mark and placing its new one; compact() skips it.
+     */
     std::unordered_map<uint64_t, uint64_t> lastAccess;
     /** Fenwick tree over time slots; fenwick[0] unused. */
     std::vector<uint64_t> fenwick;

@@ -17,30 +17,88 @@ Cache::Cache(const CacheGeometry &geometry, Cache *next,
     panic_if(!isPowerOf2(geom.ways), "associativity must be 2^n");
     lineShift = floorLog2(geom.lineBytes);
     setShift = floorLog2(numSets);
-    ways.assign(static_cast<size_t>(numSets) * geom.ways, Way());
-    plruBits.assign(static_cast<size_t>(numSets) * (geom.ways - 1), 0);
-    if (geom.trueLru)
-        lruStamp.assign(static_cast<size_t>(numSets) * geom.ways, 0);
-    lastInSet.assign(numSets, LastAccess());
+    if (geom.trueLru) {
+        // At most half full: every probe sequence ends at an empty
+        // slot within a few steps.
+        indexBits = floorLog2(numSets) + floorLog2(geom.ways) + 1;
+    }
+    reset();
 }
 
 void
 Cache::reset()
 {
-    for (Way &w : ways)
-        w = Way();
-    for (uint8_t &b : plruBits)
-        b = 0;
-    for (uint64_t &s : lruStamp)
-        s = 0;
-    lruClock = 0;
+    ways.assign(static_cast<size_t>(numSets) * geom.ways, Way());
+    plruBits.assign(static_cast<size_t>(numSets) * (geom.ways - 1), 0);
+    validWays.assign(numSets, 0);
+    if (geom.trueLru) {
+        lineIndex.assign(size_t{1} << indexBits, IndexSlot());
+        lruLinks.resize(static_cast<size_t>(numSets) * (geom.ways + 1));
+        for (size_t base = 0; base < lruLinks.size();
+             base += geom.ways + 1) {
+            for (uint32_t w = 0; w <= geom.ways; ++w)
+                lruLinks[base + w] = {w, w};
+        }
+    }
     lastInSet.assign(numSets, LastAccess());
     stat = CacheStats();
 }
 
-int
-Cache::findWay(uint32_t set, uint32_t tag) const
+uint32_t
+Cache::indexHome(uint32_t line) const
 {
+    // Fibonacci hashing: the top indexBits of line * 2^32/phi spread
+    // consecutive lines (the common pattern) across the table.
+    return static_cast<uint32_t>(
+        (static_cast<uint64_t>(line) * 0x9E3779B97F4A7C15ull) >>
+        (64 - indexBits));
+}
+
+void
+Cache::indexInsert(uint32_t line, uint32_t way)
+{
+    const uint32_t mask = (1u << indexBits) - 1;
+    uint32_t i = indexHome(line);
+    while (lineIndex[i].way != kNoWay)
+        i = (i + 1) & mask;
+    lineIndex[i] = {line, way};
+}
+
+void
+Cache::indexErase(uint32_t line)
+{
+    const uint32_t mask = (1u << indexBits) - 1;
+    uint32_t hole = indexHome(line);
+    while (lineIndex[hole].line != line)
+        hole = (hole + 1) & mask;
+    // Backward-shift deletion: pull each later entry of the probe run
+    // into the hole unless that would move it before its home slot.
+    for (uint32_t j = (hole + 1) & mask; lineIndex[j].way != kNoWay;
+         j = (j + 1) & mask) {
+        const uint32_t home = indexHome(lineIndex[j].line);
+        if (((j - home) & mask) >= ((j - hole) & mask)) {
+            lineIndex[hole] = lineIndex[j];
+            hole = j;
+        }
+    }
+    lineIndex[hole] = IndexSlot();
+}
+
+int
+Cache::findWay(uint32_t line) const
+{
+    if (geom.trueLru) {
+        const uint32_t mask = (1u << indexBits) - 1;
+        for (uint32_t i = indexHome(line);; i = (i + 1) & mask) {
+            const IndexSlot &slot = lineIndex[i];
+            if (slot.way == kNoWay)
+                return -1;
+            if (slot.line == line)
+                return static_cast<int>(slot.way);
+        }
+    }
+    const uint32_t set = line & (numSets - 1);
+    const uint32_t tag = line >> setShift;
     const size_t base = static_cast<size_t>(set) * geom.ways;
     for (uint32_t w = 0; w < geom.ways; ++w) {
         if (ways[base + w].valid && ways[base + w].tag == tag)
@@ -83,13 +141,9 @@ Cache::victimWay(uint32_t set) const
 {
     if (!geom.trueLru)
         return plruVictim(set);
-    const size_t base = static_cast<size_t>(set) * geom.ways;
-    uint32_t victim = 0;
-    for (uint32_t w = 1; w < geom.ways; ++w) {
-        if (lruStamp[base + w] < lruStamp[base + victim])
-            victim = w;
-    }
-    return victim;
+    // The list tail: sentinel.prev.
+    return lruLinks[static_cast<size_t>(set) * (geom.ways + 1) +
+                    geom.ways].prev;
 }
 
 void
@@ -99,50 +153,54 @@ Cache::touchWay(uint32_t set, uint32_t way)
         plruTouch(set, way);
         return;
     }
-    lruStamp[static_cast<size_t>(set) * geom.ways + way] = ++lruClock;
+    LruLink *links = &lruLinks[static_cast<size_t>(set) * (geom.ways + 1)];
+    LruLink &node = links[way];
+    LruLink &sentinel = links[geom.ways];
+    // Unlink (a no-op for a way not yet in the list), then relink
+    // as the head.
+    links[node.prev].next = node.next;
+    links[node.next].prev = node.prev;
+    node.prev = geom.ways;
+    node.next = sentinel.next;
+    links[sentinel.next].prev = way;
+    sentinel.next = way;
 }
 
 uint32_t
 Cache::fillLine(uint32_t addr, bool dirty, bool charge_fill)
 {
-    const uint32_t set = setIndex(addr);
-    const uint32_t tag = tagOf(addr);
+    const uint32_t line = addr >> lineShift;
+    const uint32_t set = line & (numSets - 1);
     const size_t base = static_cast<size_t>(set) * geom.ways;
 
-    int way = findWay(set, tag);
-    if (way < 0) {
-        // Prefer an invalid way.
-        for (uint32_t w = 0; w < geom.ways; ++w) {
-            if (!ways[base + w].valid) {
-                way = static_cast<int>(w);
-                break;
+    // Prefer the lowest-index invalid way (see validWays).
+    uint32_t way = validWays[set];
+    if (way < geom.ways) {
+        ++validWays[set];
+    } else {
+        way = victimWay(set);
+        const Way &victim = ways[base + way];
+        const uint32_t victim_line = (victim.tag << setShift) | set;
+        if (geom.trueLru)
+            indexErase(victim_line);
+        if (victim.dirty) {
+            ++stat.writebacks;
+            if (nextLevel) {
+                // Write back into the next level (no stall: the
+                // write buffer hides it; see DESIGN.md).
+                bool dummy = false;
+                (void)nextLevel->access(victim_line << lineShift, true,
+                                        dummy);
             }
         }
-        if (way < 0) {
-            way = static_cast<int>(victimWay(set));
-            Way &victim = ways[base + way];
-            if (victim.valid && victim.dirty) {
-                ++stat.writebacks;
-                if (nextLevel) {
-                    // Write back into the next level (no stall: the
-                    // write buffer hides it; see DESIGN.md).
-                    bool dummy = false;
-                    const uint32_t victim_addr =
-                        (victim.tag * numSets + set) * geom.lineBytes;
-                    (void)nextLevel->access(victim_addr, true, dummy);
-                }
-            }
-        }
-        ways[base + way].tag = tag;
-        ways[base + way].valid = true;
-        ways[base + way].dirty = false;
-        if (charge_fill)
-            ++stat.prefetchFills;
     }
-    if (dirty)
-        ways[base + way].dirty = true;
-    touchWay(set, static_cast<uint32_t>(way));
-    return static_cast<uint32_t>(way);
+    if (geom.trueLru)
+        indexInsert(line, way);
+    ways[base + way] = {line >> setShift, true, dirty};
+    if (charge_fill)
+        ++stat.prefetchFills;
+    touchWay(set, way);
+    return way;
 }
 
 uint32_t
@@ -167,7 +225,7 @@ Cache::access(uint32_t addr, bool write, bool &miss_out)
         }
     }
 
-    const int way = findWay(set, tag);
+    const int way = findWay(line);
     if (way >= 0) {
         miss_out = false;
         touchWay(set, static_cast<uint32_t>(way));
@@ -197,21 +255,21 @@ Cache::access(uint32_t addr, bool write, bool &miss_out)
 bool
 Cache::probe(uint32_t addr) const
 {
-    return findWay(setIndex(addr), tagOf(addr)) >= 0;
+    return findWay(addr >> lineShift) >= 0;
 }
 
 void
 Cache::prefetch(uint32_t addr)
 {
-    const uint32_t set = setIndex(addr);
-    const uint32_t tag = tagOf(addr);
-    if (findWay(set, tag) >= 0)
+    const uint32_t line = addr >> lineShift;
+    if (findWay(line) >= 0)
         return;
     if (nextLevel)
         nextLevel->prefetch(addr);
     // The prefetch fill touches (and may evict within) this set;
     // point the fast path at the prefetched line.
-    lastInSet[set].line = addr >> lineShift;
+    const uint32_t set = line & (numSets - 1);
+    lastInSet[set].line = line;
     lastInSet[set].way = fillLine(addr, false, true);
 }
 

@@ -1,7 +1,11 @@
 /**
  * @file
- * Set-associative cache with tree-PLRU replacement, write-back /
- * write-allocate, used for L1-I, L1-D and the unified L2 (Table I).
+ * Set-associative cache, write-back / write-allocate, used for L1-I,
+ * L1-D and the unified L2 (Table I). Replacement is tree-PLRU (every
+ * Table I cache) or exact LRU (CacheGeometry::trueLru, the profile
+ * layer's fully-associative cross-check cache). Exact LRU is O(1) per
+ * access at any associativity: a line -> way hash index replaces the
+ * set scan, and an intrusive per-set recency list yields the victim.
  */
 
 #ifndef DARCO_TIMING_CACHE_HH
@@ -124,26 +128,23 @@ class Cache
         bool dirty = false;
     };
 
-    // Geometry is asserted power-of-two in the constructor, so the
-    // per-access set/tag split is two shifts, not two divisions.
-    uint32_t setIndex(uint32_t addr) const
-    {
-        return (addr >> lineShift) & (numSets - 1);
-    }
-
-    uint32_t tagOf(uint32_t addr) const
-    {
-        return addr >> (lineShift + setShift);
-    }
-
-    int findWay(uint32_t set, uint32_t tag) const;
+    /** Way holding @p line in its set, or -1 when absent. */
+    int findWay(uint32_t line) const;
     uint32_t plruVictim(uint32_t set) const;
     void plruTouch(uint32_t set, uint32_t way);
     /** Replacement dispatch: tree-PLRU or exact LRU (geom.trueLru). */
     uint32_t victimWay(uint32_t set) const;
     void touchWay(uint32_t set, uint32_t way);
-    /** Insert a line, handling victim writeback. Returns way used. */
+    /**
+     * Insert @p addr's line, which must be absent, handling victim
+     * writeback. Returns the way used.
+     */
     uint32_t fillLine(uint32_t addr, bool dirty, bool charge_fill);
+
+    // Exact-LRU line index (geom.trueLru only).
+    uint32_t indexHome(uint32_t line) const;
+    void indexInsert(uint32_t line, uint32_t way);
+    void indexErase(uint32_t line);
 
     CacheGeometry geom;
     Cache *nextLevel;
@@ -155,23 +156,55 @@ class Cache
     std::vector<uint8_t> plruBits; ///< numSets * (ways - 1) tree bits
 
     /**
-     * Exact-LRU state (geom.trueLru only): per-way recency stamps
-     * from a monotone counter; the victim is the valid way with the
-     * smallest stamp. The same-line fast path's skipped re-touch
-     * stays correct — a fast-path hit means the most recent touch of
-     * the set was this very way, so it already holds the set's
-     * largest stamp.
+     * Valid ways per set. Lines are never invalidated one at a time
+     * (only reset() clears a cache), so the valid ways of a set are
+     * always 0..validWays[set]-1 and the lowest-index invalid way a
+     * fill prefers is validWays[set] itself.
      */
-    std::vector<uint64_t> lruStamp; ///< numSets * geom.ways
-    uint64_t lruClock = 0;
+    std::vector<uint32_t> validWays;
+
+    /**
+     * Exact-LRU state (geom.trueLru only; empty otherwise).
+     *
+     * lineIndex maps every resident line to its way: open addressing
+     * with linear probing over at least twice as many slots as the
+     * cache has ways, allocated once, with backward-shift deletion so
+     * no tombstones accumulate. findWay and probe read it instead of
+     * scanning the set.
+     *
+     * lruLinks threads each set's valid ways into a circular
+     * doubly-linked recency list through a sentinel node (index
+     * geom.ways of the set's geom.ways + 1 nodes): sentinel.next is
+     * the MRU way, sentinel.prev the LRU way, i.e. the victim. A
+     * touch relinks the way at the head. Ways not yet in the list
+     * are self-loops, so unlinking one is a no-op and a fill's touch
+     * needs no special case. The same-line fast path's skipped
+     * re-touch stays correct: a fast-path hit means the most recent
+     * touch of the set was this very way, so it is already the head.
+     */
+    static constexpr uint32_t kNoWay = 0xFFFFFFFFu;
+    struct IndexSlot
+    {
+        uint32_t line = 0;
+        uint32_t way = kNoWay; ///< kNoWay marks an empty slot
+    };
+    struct LruLink
+    {
+        uint32_t prev;
+        uint32_t next;
+    };
+    std::vector<IndexSlot> lineIndex; ///< 2^indexBits slots
+    uint32_t indexBits = 0;
+    std::vector<LruLink> lruLinks;    ///< numSets * (geom.ways + 1)
 
     /**
      * Per-set same-line fast path: the line and way of the most
      * recent access (or fill) in each set. A repeated access to that
-     * line skips the set scan, and the PLRU re-touch it skips is a
-     * no-op because the most recent touch of the set already points
-     * the tree bits away from that way. Indexed by set so
-     * alternating lines in different sets all stay on the fast path.
+     * line skips the way lookup, and the re-touch it skips is a no-op
+     * because the most recent touch of the set already points the
+     * PLRU tree bits away from that way (or, in exact LRU, made it
+     * the list head). Indexed by set so alternating lines in
+     * different sets all stay on the fast path.
      */
     struct LastAccess
     {

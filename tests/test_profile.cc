@@ -159,6 +159,22 @@ TEST(ReuseStack, MatchesNaiveAfterDoublingThenCompaction)
     expectMatchesNaive(lines, "grow-then-shrink stream");
 }
 
+TEST(ReuseStack, MatchesNaiveWhenCompactionRunsOnARetouch)
+{
+    // Ten lines cycled until the clock sits exactly at the initial
+    // slot capacity (1024), so the very next access compacts. That
+    // access re-touches a line: its old mark is already gone and it
+    // holds the dead sentinel while the tree is rebuilt, which must
+    // neither resurrect the old mark nor give the line a second one.
+    std::vector<uint64_t> lines;
+    for (uint64_t i = 0; i < 1024; ++i)
+        lines.push_back(i % 10);
+    lines.push_back(5);  // compacts; distance 8 (lines 6..9, 0..3)
+    for (uint64_t i = 0; i < 300; ++i)
+        lines.push_back((i * 7) % 10);
+    expectMatchesNaive(lines, "compaction on a re-touch");
+}
+
 TEST(ReuseStack, MatchesNaiveOnAdversarialPatterns)
 {
     // Cold: every access distinct.
@@ -253,6 +269,25 @@ TEST(ReuseStack, ClosedFormStrided)
     const profile::ReuseHistogram &hist = stack.histogram();
     EXPECT_EQ(hist.coldAccesses, k);
     ASSERT_EQ(hist.counts.size(), 1u);
+    EXPECT_EQ(hist.counts.at(k - 1), k * (r - 1));
+}
+
+TEST(ReuseStack, ClosedFormDistancesBeyondTheDenseCounters)
+{
+    // Cyclic over more lines than the engine counts densely (small
+    // distances live in a vector, large ones in the map): the
+    // histogram must merge both into one ordered map.
+    constexpr uint64_t k = 20000, r = 3;
+    profile::ReuseStack stack;
+    for (uint64_t round = 0; round < r; ++round) {
+        for (uint64_t i = 0; i < k; ++i)
+            stack.access(i);
+        stack.access(k - 1);  // distance 0
+    }
+    const profile::ReuseHistogram hist = stack.histogram();
+    EXPECT_EQ(hist.coldAccesses, k);
+    ASSERT_EQ(hist.counts.size(), 2u);
+    EXPECT_EQ(hist.counts.at(0), r);
     EXPECT_EQ(hist.counts.at(k - 1), k * (r - 1));
 }
 

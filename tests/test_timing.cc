@@ -130,6 +130,223 @@ TEST(Cache, PrefetchFillsWithoutAccessCount)
     EXPECT_EQ(l1.stats().prefetchFills, 1u);
 }
 
+namespace {
+
+/**
+ * Naive exact-LRU reference: per-way recency stamps, a linear scan
+ * per lookup, the first invalid way or the smallest stamp as victim.
+ * It sends the same misses and writebacks to its own next level as
+ * Cache does, in the same order.
+ */
+class StampLruCache
+{
+  public:
+    StampLruCache(const CacheGeometry &geometry, Cache *next,
+                  uint32_t mem_latency)
+        : geom(geometry), nextLevel(next), memLatency(mem_latency),
+          numSets(geometry.sizeBytes /
+                  (geometry.lineBytes * geometry.ways)),
+          ways(static_cast<size_t>(numSets) * geometry.ways)
+    {}
+
+    uint32_t
+    access(uint32_t addr, bool write, bool &miss)
+    {
+        ++stat.accesses;
+        const uint32_t line = addr / geom.lineBytes;
+        if (Way *w = find(line)) {
+            miss = false;
+            w->stamp = ++clock;
+            w->dirty |= write;
+            return geom.hitLatency;
+        }
+        ++stat.misses;
+        miss = true;
+        uint32_t below = memLatency;
+        if (nextLevel) {
+            bool next_miss = false;
+            below = nextLevel->access(addr, false, next_miss);
+        }
+        fill(line, write);
+        return geom.hitLatency + below;
+    }
+
+    void
+    prefetch(uint32_t addr)
+    {
+        const uint32_t line = addr / geom.lineBytes;
+        if (find(line))
+            return;
+        if (nextLevel)
+            nextLevel->prefetch(addr);
+        fill(line, false);
+        ++stat.prefetchFills;
+    }
+
+    bool
+    probe(uint32_t addr)
+    {
+        return find(addr / geom.lineBytes) != nullptr;
+    }
+
+    void
+    reset()
+    {
+        ways.assign(ways.size(), Way());
+        stat = CacheStats();
+    }
+
+    const CacheStats &stats() const { return stat; }
+
+  private:
+    struct Way
+    {
+        uint32_t line = 0;
+        bool valid = false;
+        bool dirty = false;
+        uint64_t stamp = 0;
+    };
+
+    Way *
+    setBase(uint32_t line)
+    {
+        return &ways[static_cast<size_t>(line % numSets) * geom.ways];
+    }
+
+    Way *
+    find(uint32_t line)
+    {
+        Way *set = setBase(line);
+        for (uint32_t w = 0; w < geom.ways; ++w) {
+            if (set[w].valid && set[w].line == line)
+                return &set[w];
+        }
+        return nullptr;
+    }
+
+    void
+    fill(uint32_t line, bool dirty)
+    {
+        Way *set = setBase(line);
+        Way *victim = nullptr;
+        for (uint32_t w = 0; w < geom.ways && !victim; ++w) {
+            if (!set[w].valid)
+                victim = &set[w];
+        }
+        if (!victim) {
+            victim = &set[0];
+            for (uint32_t w = 1; w < geom.ways; ++w) {
+                if (set[w].stamp < victim->stamp)
+                    victim = &set[w];
+            }
+            if (victim->dirty) {
+                ++stat.writebacks;
+                if (nextLevel) {
+                    bool next_miss = false;
+                    (void)nextLevel->access(
+                        victim->line * geom.lineBytes, true, next_miss);
+                }
+            }
+        }
+        *victim = {line, true, dirty, ++clock};
+    }
+
+    CacheGeometry geom;
+    Cache *nextLevel;
+    uint32_t memLatency;
+    uint32_t numSets;
+    std::vector<Way> ways;
+    uint64_t clock = 0;
+    CacheStats stat;
+};
+
+void
+expectSameStats(const CacheStats &a, const CacheStats &b,
+                const std::string &what)
+{
+    EXPECT_EQ(a.accesses, b.accesses) << what;
+    EXPECT_EQ(a.misses, b.misses) << what;
+    EXPECT_EQ(a.writebacks, b.writebacks) << what;
+    EXPECT_EQ(a.prefetchFills, b.prefetchFills) << what;
+}
+
+/**
+ * Drive Cache and StampLruCache with one seeded stream of reads,
+ * writes and prefetches over @p span_lines lines (with repeats of the
+ * previous address, so the same-line fast path is hit too) and
+ * require identical results access by access. Each side owns an
+ * identical PLRU next level when @p with_next. Both are reset midway.
+ */
+void
+expectMatchesStampLru(const CacheGeometry &geom, bool with_next,
+                      uint32_t span_lines, uint64_t seed)
+{
+    ASSERT_TRUE(geom.trueLru);
+    const CacheGeometry l2_geom{32 * 1024, 128, 8, 10};
+    Cache next_fast(l2_geom, nullptr, 100);
+    Cache next_ref(l2_geom, nullptr, 100);
+    Cache fast(geom, with_next ? &next_fast : nullptr, 50);
+    StampLruCache ref(geom, with_next ? &next_ref : nullptr, 50);
+
+    Prng rng(seed);
+    constexpr int kAccesses = 40000;
+    uint32_t addr = 0;
+    for (int i = 0; i < kAccesses; ++i) {
+        const std::string what = "seed " + std::to_string(seed) +
+                                 " access " + std::to_string(i);
+        if (i == kAccesses / 2) {
+            fast.reset();
+            ref.reset();
+        }
+        if (!rng.chance(0.3)) {
+            addr = static_cast<uint32_t>(rng.below(span_lines)) *
+                       geom.lineBytes +
+                   static_cast<uint32_t>(rng.below(geom.lineBytes));
+        }
+        if (rng.chance(0.05)) {
+            fast.prefetch(addr);
+            ref.prefetch(addr);
+        } else {
+            const bool write = rng.chance(0.3);
+            bool miss_fast = false, miss_ref = false;
+            const uint32_t lat_fast = fast.access(addr, write, miss_fast);
+            const uint32_t lat_ref = ref.access(addr, write, miss_ref);
+            ASSERT_EQ(miss_fast, miss_ref) << what;
+            ASSERT_EQ(lat_fast, lat_ref) << what;
+        }
+        const uint32_t other =
+            static_cast<uint32_t>(rng.below(span_lines)) * geom.lineBytes;
+        ASSERT_EQ(fast.probe(addr), ref.probe(addr)) << what;
+        ASSERT_EQ(fast.probe(other), ref.probe(other)) << what;
+    }
+    expectSameStats(fast.stats(), ref.stats(), "cache");
+    expectSameStats(next_fast.stats(), next_ref.stats(), "next level");
+    EXPECT_GT(fast.stats().writebacks, 0u);
+}
+
+} // namespace
+
+TEST(Cache, TrueLruMatchesStampReferenceFullyAssociative8)
+{
+    const CacheGeometry geom{8 * 64, 64, 8, 1, true};
+    for (uint64_t seed = 1; seed <= 3; ++seed)
+        expectMatchesStampLru(geom, false, 14, seed);
+}
+
+TEST(Cache, TrueLruMatchesStampReferenceFullyAssociative512)
+{
+    const CacheGeometry geom{512 * 64, 64, 512, 1, true};
+    for (uint64_t seed = 1; seed <= 3; ++seed)
+        expectMatchesStampLru(geom, false, 800, seed);
+}
+
+TEST(Cache, TrueLruMatchesStampReferenceSetAssociativeWithNextLevel)
+{
+    const CacheGeometry geom{16 * 4 * 64, 64, 4, 2, true};  // 16 sets
+    for (uint64_t seed = 1; seed <= 3; ++seed)
+        expectMatchesStampLru(geom, true, 120, seed);
+}
+
 // ----- TLB -------------------------------------------------------------
 
 TEST(Tlb, TwoLevelLatencies)

@@ -11,7 +11,9 @@ changed outputs cannot land without a version bump.
 
 Every bench runs in a throwaway working directory, so files it writes
 to its CWD (engine_speed's BENCH_engine.json and trace captures) never
-land in the tree; give any path in EXTRA_ARG as an absolute path.
+land in the tree. A path in EXTRA_ARG (--cache-dir=DIR,
+--benchmark=source://trace/FILE) must be absolute: a relative one
+would resolve inside that directory, so `check` rejects it.
 
 Usage (the goldens resolve relative to the repo root, so run from
 anywhere):
@@ -47,6 +49,8 @@ MANIFEST = GOLDEN_DIR / "manifest.txt"
 VERSIONS = GOLDEN_DIR / "engine_versions.txt"
 PINS = REPO / "perfbench" / "pins.txt"
 KINDS = ("sweep", "serial")
+# EXTRA_ARG prefixes whose value names a filesystem path.
+PATH_FLAGS = ("--cache-dir=", "--benchmark=source://trace/")
 VERSION_RE = re.compile(
     r'constexpr\s+const\s+char\s*\*\s*k\w*EngineVersion\s*=\s*"([^"]+)"')
 
@@ -182,8 +186,21 @@ def update(bin_dir):
     return 0
 
 
+def relative_paths(extra):
+    """The EXTRA_ARGs whose path value is relative."""
+    return [arg for arg in extra for flag in PATH_FLAGS
+            if arg.startswith(flag)
+            and not Path(arg[len(flag):]).is_absolute()]
+
+
 def main(argv):
     if len(argv) >= 3 and argv[1] == "check":
+        relative = relative_paths(argv[3:])
+        if relative:
+            print(f"check: {' '.join(relative)}: the bench runs in a "
+                  f"throwaway working directory, so a path must be "
+                  f"absolute", file=sys.stderr)
+            return 2
         return check(argv[2], argv[3:])
     if len(argv) == 2 and argv[1] == "version":
         return version()
