@@ -51,7 +51,7 @@ struct CacheGeometry
     uint32_t ways;
     uint32_t hitLatency;
     /**
-     * Replace with exact (stamp-based) LRU instead of tree-PLRU.
+     * Replace with exact LRU instead of tree-PLRU.
      * Off for every Table I cache; the profile layer's analytic
      * cross-check (profile/analytic.hh) turns it on for a
      * fully-associative instance, because Mattson's stack model is
